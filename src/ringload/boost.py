@@ -29,7 +29,7 @@ from typing import ClassVar, Union
 
 from .core import CrossingRouting, RingInstance, split_loads
 from .errors import BoundViolated
-from .reduce import GeneralSplitRouting
+from .reduce import GeneralSplitRouting, _ccw_edges, _cw_edges
 
 
 @dataclass(frozen=True)
@@ -67,6 +67,23 @@ class BoostedInstance:
     components: tuple[Component, ...]
     equalized_load: Fraction
     dropped_zero_shorts: int
+
+    def canonical_routing(self) -> GeneralSplitRouting:
+        """Split routing of the instance: source splits on the crossing
+        demands, home paths for the shorts."""
+        n = self.instance.n
+        cw = []
+        for (i, j, value), component in zip(self.instance.demands, self.components):
+            if component.kind == "crossing":
+                cw.append(component.split[0])
+                continue
+            home = frozenset(component.home_edges)
+            if home == _cw_edges(n, i, j):
+                cw.append(value)
+            else:
+                assert home == _ccw_edges(n, i, j), "home is neither arc of its demand"
+                cw.append(Fraction(0))
+        return GeneralSplitRouting(self.instance, tuple(cw))
 
 
 def boost(r: CrossingRouting) -> BoostedInstance:
@@ -146,25 +163,9 @@ def boost(r: CrossingRouting) -> BoostedInstance:
 
     # routing everything canonically must load every edge to exactly the
     # source's maximum split load
-    canonical = _canonical_routing(boosted)
+    canonical = boosted.canonical_routing()
     assert all(x == top for x in canonical.loads()), "boost failed to equalize"
     return boosted
-
-
-def _canonical_routing(b: BoostedInstance) -> GeneralSplitRouting:
-    """Split routing of the boosted instance: source splits on crossing
-    demands, home paths for the shorts."""
-    n = b.instance.n
-    cw = []
-    for t, component in enumerate(b.components):
-        i, j, value = b.instance.demands[t]
-        if component.kind == "crossing":
-            cw.append(component.split[0])
-        elif component.home_edges == tuple(range(i, j)):
-            cw.append(value)  # home is the clockwise arc i..j-1
-        else:
-            cw.append(Fraction(0))
-    return GeneralSplitRouting(b.instance, tuple(cw))
 
 
 @dataclass(frozen=True)

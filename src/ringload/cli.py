@@ -155,16 +155,12 @@ def dump_boosted(b: BoostedInstance) -> str:
         f"# zero-valued fillers dropped: {b.dropped_zero_shorts}",
         f"ring {b.instance.n}",
     ]
-    for (i, j, value), component in zip(b.instance.demands, b.components):
+    canonical = b.canonical_routing().clockwise
+    for (i, j, value), component, cw in zip(b.instance.demands, b.components, canonical):
         if component.kind == "crossing":
-            cw = component.split[0]
             role = f"demand {component.source_index} of the source"
         else:
             home = ",".join(str(e) for e in component.home_edges)
-            if component.home_edges == tuple(range(i, j)):
-                cw = value
-            else:
-                cw = Fraction(0)
             role = ("capped " if component.capped else "") + f"filler, home edges {home}"
         lines.append(f"demand {i} {j} {value} {cw}  # {role}")
     return "\n".join(lines) + "\n"
@@ -434,8 +430,9 @@ def main(argv=None) -> int:
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (GuaranteeViolated, BoundViolated, NotEqualized) as exc:
-        print(f"guarantee violated: {exc}", file=sys.stderr)
+    except (GuaranteeViolated, BoundViolated, NotEqualized, AssertionError) as exc:
+        # a failed library assert is a broken certified invariant too
+        print(f"guarantee violated: {exc or type(exc).__name__}", file=sys.stderr)
         print(
             "this indicates a broken certified invariant; the inputs and the "
             "diagnostic above are worth preserving",

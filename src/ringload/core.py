@@ -12,13 +12,17 @@ means demand ``i`` goes fully clockwise.  Walking the per-demand
 rerouting steps yields a prefix trajectory whose extremes determine, in
 closed form, the worst-case edge-load increase ("additive performance").
 
-All arithmetic is exact rational; nothing here ever rounds.
+All arithmetic is exact rational; nothing here ever rounds.  Walks run
+on integers over each routing's common denominator; cached values sit
+outside the dataclass fields, so equality and hashing ignore them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from math import lcm
 
 from .errors import MalformedRouting
 
@@ -123,23 +127,37 @@ class CrossingRouting:
     def demand_values(self) -> tuple[Fraction, ...]:
         return tuple(a + b for a, b in zip(self.u, self.v))
 
-    @property
+    @cached_property
     def max_demand(self) -> Fraction:
-        return max(self.demand_values)
+        denom, us, vs = self.scaled
+        return Fraction(max(a + b for a, b in zip(us, vs)), denom)
+
+    @cached_property
+    def scaled(self) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
+        """``(denom, U, V)``: the least common denominator of all parts
+        and the integer numerators ``U[i] = u[i] * denom``,
+        ``V[i] = v[i] * denom``."""
+        denom = lcm(*(x.denominator for x in self.u + self.v))
+        return (
+            denom,
+            tuple(x.numerator * (denom // x.denominator) for x in self.u),
+            tuple(x.numerator * (denom // x.denominator) for x in self.v),
+        )
 
     def classify_delta(self) -> DeltaClass:
         """Smallest delta such that all demands clear the middle band
         ``(delta*D, (1-delta)*D)``; ties on the witness go to the
         smallest index for reproducibility."""
-        d = self.demand_values
-        big = self.max_demand
-        half = big / 2
-        best = min(range(self.m), key=lambda i: abs(half - d[i]))
-        delta = min(d[best], big - d[best]) / big
+        _, us, vs = self.scaled
+        d = [a + b for a, b in zip(us, vs)]
+        big = max(d)
+        # |D - 2 d_i| orders the demands exactly as |D/2 - d_i| does
+        best = min(range(self.m), key=lambda i: abs(big - 2 * d[i]))
+        width = min(d[best], big - d[best])
         # the spread property is implied by the choice of `best`, but it is
         # the contract everything downstream leans on, so keep it checked
-        assert all(x <= delta * big or x >= (1 - delta) * big for x in d)
-        return DeltaClass(delta, best + 1)
+        assert all(x <= width or x >= big - width for x in d)
+        return DeltaClass(Fraction(width, big), best + 1)
 
     def to_ring_instance(self) -> RingInstance:
         if self.m < 2:
@@ -181,25 +199,50 @@ class Pattern:
             r.v[i] if self.choices >> i & 1 else -r.u[i] for i in range(r.m)
         )
 
-    @property
-    def prefix_values(self) -> tuple[Fraction, ...]:
-        """Trajectory values at indices 0..m (length m + 1)."""
-        acc = self.start
-        out = [acc]
-        for step in self.steps:
-            acc += step
+    @cached_property
+    def walk(self) -> tuple[int, ...]:
+        """Trajectory anchored at 0, at indices 0..m, in units of
+        ``1 / routing.scaled[0]``."""
+        _, us, vs = self.routing.scaled
+        acc = 0
+        out = [0]
+        for i, (down, up) in enumerate(zip(us, vs)):
+            acc += up if self.choices >> i & 1 else -down
             out.append(acc)
         return tuple(out)
 
+    def _value(self, w: int) -> Fraction:
+        return self.start + Fraction(w, self.routing.scaled[0])
+
     @property
+    def prefix_values(self) -> tuple[Fraction, ...]:
+        """Trajectory values at indices 0..m (length m + 1)."""
+        return tuple(self._value(w) for w in self.walk)
+
+    @cached_property
     def end(self) -> Fraction:
-        return self.start + sum(self.steps)
+        return self._value(self.walk[-1])
 
     @property
     def strip(self) -> tuple[Fraction, Fraction]:
         """(lowest, highest) trajectory value over indices 0..m."""
-        values = self.prefix_values
-        return min(values), max(values)
+        walk = self.walk
+        return self._value(min(walk)), self._value(max(walk))
+
+    @cached_property
+    def performance(self) -> Fraction:
+        """Largest edge-load increase caused by the pattern: with strip
+        [a, b], start x and end y this is max(2b - x - y, x + y - 2a),
+        which does not depend on the anchor."""
+        walk = self.walk
+        y = walk[-1]
+        perf = max(2 * max(walk) - y, y - 2 * min(walk))
+        if __debug__:
+            # closed form must agree with the brute per-edge maximum: edge
+            # k (1..m) changes by 2 w[k] - w[m], edge k + m by the negation
+            first = [2 * w - y for w in walk[1:]]
+            assert perf == max(first + [-t for t in first])
+        return Fraction(perf, self.routing.scaled[0])
 
 
 @dataclass(frozen=True)
@@ -279,15 +322,9 @@ def pattern_delta(p: Pattern) -> LoadProfile:
 
 
 def additive_performance(p: Pattern) -> Fraction:
-    """Largest edge-load increase caused by the pattern: with strip
-    [a, b], start x and end y this is max(2b - x - y, x + y - 2a)."""
-    lo, hi = p.strip
-    x, y = p.start, p.end
-    perf = max(2 * hi - x - y, x + y - 2 * lo)
-    if __debug__:
-        # closed form must agree with the brute per-edge maximum
-        assert perf == max(pattern_delta(p).loads)
-    return perf
+    """Largest edge-load increase caused by the pattern (see
+    ``Pattern.performance``; computed once per pattern)."""
+    return p.performance
 
 
 def performance_is_start_invariant(p: Pattern, new_start) -> Fraction:

@@ -29,7 +29,7 @@ def min_additive_performance(r: CrossingRouting, cap: int = DEFAULT_CAP) -> Perf
     m = r.m
     if m > cap:
         raise TooLarge(f"2^{m} reroutings exceeds the enumeration cap 2^{cap}")
-    denom, (steps_up, steps_down) = _common_scale(r.v, r.u)
+    denom, steps_down, steps_up = r.scaled
     best_val: int | None = None
     best_mask = 0
     for mask in range(1 << m):
@@ -157,24 +157,9 @@ def optimal_unsplittable_boosted(boosted, cap: int = DEFAULT_CAP) -> Unsplittabl
     """Unsplittable optimum of a boosted instance with every short demand
     pinned to its home path; only the 2^m crossing reroutings are
     enumerated."""
-    instance = boosted.instance
-    base = [Fraction(0)] * len(instance.demands)
-    free = []
-    for t, component in enumerate(boosted.components):
-        if component.kind == "crossing":
-            free.append(t)
-        else:
-            base[t] = _home_clockwise(instance, t, component.home_edges)
-    return _enumerate_unsplittable(instance, base, free, cap)
-
-
-def _home_clockwise(instance: RingInstance, t: int, home_edges: tuple[int, ...]) -> Fraction:
-    """Clockwise part that routes demand t along its home edges."""
-    i, j, value = instance.demands[t]
-    if frozenset(home_edges) == _cw_edges(instance.n, i, j):
-        return value
-    assert frozenset(home_edges) == _ccw_edges(instance.n, i, j)
-    return Fraction(0)
+    canonical = boosted.canonical_routing()
+    free = [t for t, component in enumerate(boosted.components) if component.kind == "crossing"]
+    return _enumerate_unsplittable(canonical.instance, list(canonical.clockwise), free, cap)
 
 
 def split_optimum_crossing(r: CrossingRouting) -> Fraction:
@@ -194,15 +179,7 @@ def split_optimum_boosted(boosted) -> Fraction:
     configuration: source splits on the crossing demands, home paths for
     the shorts.  All edge loads must agree, otherwise the instance is not
     properly equalized."""
-    instance = boosted.instance
-    cw = []
-    for t, component in enumerate(boosted.components):
-        value = instance.demands[t][2]
-        if component.kind == "crossing":
-            cw.append(component.split[0])
-        else:
-            cw.append(_home_clockwise(instance, t, component.home_edges))
-    profile = GeneralSplitRouting(instance, tuple(cw)).loads()
+    profile = boosted.canonical_routing().loads()
     first = profile.loads[0]
     if any(x != first for x in profile):
         raise NotEqualized(

@@ -79,6 +79,14 @@ def crossing_edge_load(r: CrossingRouting, k: int, choices=None) -> Fraction:
     return total
 
 
+def naive_prefix_values(r: CrossingRouting, choices: int, start) -> tuple[Fraction, ...]:
+    """Trajectory of a pattern by plain rational steps from its start."""
+    values = [Fraction(start)]
+    for i in range(r.m):
+        values.append(values[-1] + (r.v[i] if choices >> i & 1 else -r.u[i]))
+    return tuple(values)
+
+
 def naive_split_loads(r: CrossingRouting) -> tuple[Fraction, ...]:
     return tuple(crossing_edge_load(r, k) for k in range(1, 2 * r.m + 1))
 

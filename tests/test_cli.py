@@ -192,6 +192,20 @@ def test_guarantee_failure_exits_3(tmp_path, capsys, monkeypatch):
     assert "broken certified invariant" in err
 
 
+def test_failed_assert_exits_3(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "t3.txt"
+    run(capsys, "gen", "tight3", "--out", str(path))
+
+    def explode(r):
+        raise AssertionError("forced internal check")
+
+    monkeypatch.setattr("ringload.cli.round_main", explode)
+    code, _, err = run(capsys, "round", str(path))
+    assert code == 3
+    assert "guarantee violated: forced internal check" in err
+    assert "broken certified invariant" in err
+
+
 def test_usage_errors_exit_2(capsys):
     with pytest.raises(SystemExit) as info:
         main(["round"])

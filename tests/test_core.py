@@ -24,6 +24,7 @@ from ringload import (
 from support import (
     crossing_routings,
     naive_performance,
+    naive_prefix_values,
     naive_split_loads,
     naive_unsplittable_loads,
     routed_patterns,
@@ -164,6 +165,40 @@ def test_performance_is_translation_invariant(p, new_start):
     assert performance_is_start_invariant(p, new_start) == additive_performance(p)
 
 
+# denominators no routing part can have (those stop at 12), so the
+# anchor never sits on a routing's integer grid
+off_grid_starts = st.builds(
+    Fraction, st.integers(-400, 400), st.sampled_from([13, 17, 19, 23])
+)
+
+
+@given(crossing_routings(), st.data())
+def test_cached_walk_matches_rational_recomputation(r, data):
+    choices = data.draw(st.integers(0, (1 << r.m) - 1))
+    start = data.draw(off_grid_starts)
+    p = Pattern(r, choices, start)
+    expected = naive_prefix_values(r, choices, start)
+    # read each value twice: the second read comes from the caches
+    for _ in range(2):
+        assert additive_performance(p) == naive_performance(r, choices)
+        assert p.prefix_values == expected
+        assert p.end == expected[-1]
+        assert p.strip == (min(expected), max(expected))
+
+
+@given(routed_patterns(), off_grid_starts)
+def test_caches_leave_equality_and_hash_alone(p, start):
+    r = p.routing
+    p = Pattern(r, p.choices, start)
+    twin = Pattern(CrossingRouting(r.u, r.v), p.choices, start)
+    r.classify_delta()
+    additive_performance(p)
+    p.end
+    assert twin.routing == r and hash(twin.routing) == hash(r)
+    assert twin == p and hash(twin) == hash(p)
+    assert repr(twin) == repr(p)
+
+
 @given(crossing_routings())
 def test_delta_classification_spread(r):
     cls = r.classify_delta()
@@ -172,6 +207,8 @@ def test_delta_classification_spread(r):
     assert 1 <= cls.index <= r.m
     witness = r.demand_values[cls.index - 1]
     assert cls.value in (witness / big, 1 - witness / big)
+    dists = [abs(big / 2 - x) for x in r.demand_values]
+    assert cls.index == dists.index(min(dists)) + 1
     assert all(
         x <= cls.value * big or x >= (1 - cls.value) * big for x in r.demand_values
     )
