@@ -54,7 +54,6 @@ from .errors import (
     LengthMismatch,
     MalformedRouting,
     NotEqualized,
-    OutOfRange,
     ParameterOutOfRange,
     ParseError,
     RingLoadingError,

@@ -27,8 +27,8 @@ from fractions import Fraction
 from random import Random
 from typing import NamedTuple
 
-from .core import CrossingRouting, to_rational
-from .errors import OutOfRange, ParameterOutOfRange, ParseError
+from .core import CrossingRouting, Pattern, to_rational
+from .errors import ParameterOutOfRange, ParseError
 from .exact import min_additive_performance
 
 CONTINUOUS = "continuous"
@@ -130,7 +130,7 @@ def _negate(terms) -> list[tuple[int, str]]:
 def build_milp(m: int, *, reduce_vars: bool = True, symmetry_break: bool = True) -> MilpModel:
     """Exact worst-case-search model for size m (2..12 supported)."""
     if not isinstance(m, int) or isinstance(m, bool) or not 2 <= m <= 12:
-        raise OutOfRange(f"model size must be an integer in [2, 12], got {m!r}")
+        raise ParameterOutOfRange(f"model size must be an integer in [2, 12], got {m!r}")
     masks = range(1 << m)
     lab = {z: _mask_label(z, m) for z in masks}
     kept = {z: kept_selectors(m, z, reduce_vars) for z in masks}
@@ -265,8 +265,8 @@ def export_lp(model: MilpModel, path) -> str:
     return str(path)
 
 
-_CONSTRAINT_RE = re.compile(r"^\s*([A-Za-z]\w*):\s*(.*?)\s*(<=|>=|=)\s*(-?\d+)\s*$")
-_NAME_RE = re.compile(r"^[A-Za-z]\w*$")
+_CONSTRAINT_RE = re.compile(r"^\s*([A-Za-z]\w*):\s*(.*?)\s*(<=|>=|=)\s*(-?\d+)\s*$", re.ASCII)
+_NAME_RE = re.compile(r"^[A-Za-z]\w*$", re.ASCII)
 
 
 def _parse_terms(text: str) -> tuple[tuple[int, str], ...]:
@@ -279,7 +279,7 @@ def _parse_terms(text: str) -> tuple[tuple[int, str], ...]:
             sign, coeff = 1, None
         elif tok == "-":
             sign, coeff = -1, None
-        elif tok.isdigit():
+        elif tok.isascii() and tok.isdigit():
             if coeff is not None:
                 raise ParseError(f"two coefficients in a row near {tok!r}")
             coeff = int(tok)
@@ -388,19 +388,20 @@ def max_feasible_performance(model: MilpModel, r: CrossingRouting) -> Fraction:
     """
     if r.m != model.m:
         raise ParameterOutOfRange(f"routing has m={r.m}, model expects {model.m}")
-    big = r.max_demand
-    values: dict[str, Fraction] = {}
+    # every value is an integer numerator over `scale`: u[i] / D is
+    # U[i] / scale, walks come in the same units, and a binary 1 is `scale`
+    _, us, vs = r.scaled
+    scale = max(a + b for a, b in zip(us, vs))
+    values: dict[str, int] = {}
     for i in range(1, model.m + 1):
-        values[f"u_{i}"] = r.u[i - 1] / big
-        values[f"v_{i}"] = r.v[i - 1] / big
+        values[f"u_{i}"] = us[i - 1]
+        values[f"v_{i}"] = vs[i - 1]
 
-    best: Fraction | None = None
+    best: int | None = None
+    zero = Fraction(0)
     for z in range(1 << model.m):
         h = _mask_label(z, model.m)
-        prefix = [Fraction(0)]
-        for i in range(1, model.m + 1):
-            step = values[f"v_{i}"] if z >> (i - 1) & 1 else -values[f"u_{i}"]
-            prefix.append(prefix[-1] + step)
+        prefix = Pattern(r, z, zero).walk
         lo, hi = min(prefix), max(prefix)
         end = prefix[-1]
         perf = max(2 * hi - end, end - 2 * lo)
@@ -408,34 +409,35 @@ def max_feasible_performance(model: MilpModel, r: CrossingRouting) -> Fraction:
         values[f"b_{h}"] = hi
         values[f"y_{h}"] = end
         values[f"c_{h}"] = perf
-        values[f"w_{h}"] = Fraction(0 if perf == 2 * hi - end else 1)
+        values[f"w_{h}"] = 0 if perf == 2 * hi - end else scale
         keep_min, keep_max = kept_selectors(model.m, z, model.reduce_vars)
         min_at = [i for i in keep_min if prefix[i] == lo]
         max_at = [i for i in keep_max if prefix[i] == hi]
         assert min_at, "reduction lost every argmin selector"
         assert max_at, "reduction lost every argmax selector"
         for i in keep_min:
-            values[f"wmin_{h}_{i}"] = Fraction(1 if i == min_at[0] else 0)
+            values[f"wmin_{h}_{i}"] = scale if i == min_at[0] else 0
         for i in keep_max:
-            values[f"wmax_{h}_{i}"] = Fraction(1 if i == max_at[0] else 0)
+            values[f"wmax_{h}_{i}"] = scale if i == max_at[0] else 0
         best = perf if best is None else min(best, perf)
     assert best is not None
     values["E"] = best
 
     for con in model.constraints:
         lhs = sum(coeff * values[name] for coeff, name in con.terms)
+        rhs = con.rhs * scale
         if con.sense == "<=":
-            ok = lhs <= con.rhs
+            ok = lhs <= rhs
         elif con.sense == ">=":
-            ok = lhs >= con.rhs
+            ok = lhs >= rhs
         else:
-            ok = lhs == con.rhs
+            ok = lhs == rhs
         if not ok:
             raise ParameterOutOfRange(
                 f"routing is inadmissible for this model: {con.name} has "
-                f"lhs {lhs}, wants {con.sense} {con.rhs}"
+                f"lhs {Fraction(lhs, scale)}, wants {con.sense} {con.rhs}"
             )
-    return best
+    return Fraction(best, scale)
 
 
 # ---------------------------------------------------------------------------

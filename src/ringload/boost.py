@@ -27,9 +27,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import ClassVar, Union
 
-from .core import CrossingRouting, RingInstance, split_loads
+from .core import CrossingRouting, RingInstance, ccw_edges, cw_edges, split_loads
 from .errors import BoundViolated
-from .reduce import GeneralSplitRouting, _ccw_edges, _cw_edges
+from .reduce import GeneralSplitRouting
 
 
 @dataclass(frozen=True)
@@ -78,10 +78,10 @@ class BoostedInstance:
                 cw.append(component.split[0])
                 continue
             home = frozenset(component.home_edges)
-            if home == _cw_edges(n, i, j):
+            if home == cw_edges(i, j):
                 cw.append(value)
             else:
-                assert home == _ccw_edges(n, i, j), "home is neither arc of its demand"
+                assert home == ccw_edges(n, i, j), "home is neither arc of its demand"
                 cw.append(Fraction(0))
         return GeneralSplitRouting(self.instance, tuple(cw))
 

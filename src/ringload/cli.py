@@ -45,7 +45,7 @@ from .rounding import (
     ssw_round,
 )
 
-RATIONAL_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
+RATIONAL_RE = re.compile(r"^[+-]?\d+(/\d+)?$", re.ASCII)
 
 
 def parse_rational(token: str, where: str) -> Fraction:
@@ -55,7 +55,7 @@ def parse_rational(token: str, where: str) -> Fraction:
 
 
 def parse_count(token: str, where: str) -> int:
-    if not token.isdigit():
+    if not (token.isascii() and token.isdigit()):
         raise ParseError(f"{where}: {token!r} is not a positive integer")
     return int(token)
 

@@ -22,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import accumulate
 from math import lcm
 
 from .errors import MalformedRouting
@@ -276,18 +277,50 @@ class LoadProfile:
         return iter(self.loads)
 
 
+def cw_edges(i: int, j: int) -> frozenset[int]:
+    """Edges of the clockwise arc i -> j (i < j): edges i..j-1."""
+    return frozenset(range(i, j))
+
+
+def ccw_edges(n: int, i: int, j: int) -> frozenset[int]:
+    """Edges of the counter-clockwise arc i -> j on an n-ring: the
+    edges j..n and 1..i-1."""
+    return frozenset(range(j, n + 1)) | frozenset(range(1, i))
+
+
+def scaled_arc_loads(n: int, arcs) -> tuple[int, list[int]]:
+    """Edge loads of an n-ring carrying ``(i, j, cw_part, ccw_part)``
+    arcs (``1 <= i < j <= n``, rational parts): ``(denom, loads)``, the
+    least common denominator of all parts and the integer load of edge
+    k in units of ``1 / denom`` at ``loads[k - 1]``.
+
+    Each arc puts ``ccw_part`` on every edge, then ``cw_part - ccw_part``
+    on its clockwise edges i..j-1 (difference-array sweep)."""
+    arcs = list(arcs)
+    denom = lcm(*(x.denominator for _, _, a, b in arcs for x in (a, b)))
+    base = 0
+    diff = [0] * n
+    for i, j, a, b in arcs:
+        a = a.numerator * (denom // a.denominator)
+        b = b.numerator * (denom // b.denominator)
+        base += b
+        diff[i - 1] += a - b
+        diff[j - 1] -= a - b
+    diff[0] += base
+    return denom, list(accumulate(diff))
+
+
+def arc_loads(n: int, arcs) -> LoadProfile:
+    """``scaled_arc_loads`` as a profile of rationals."""
+    denom, loads = scaled_arc_loads(n, arcs)
+    return LoadProfile(tuple(Fraction(x, denom) for x in loads))
+
+
 def split_loads(r: CrossingRouting) -> LoadProfile:
     """Edge loads of the split routing: demand i puts u[i] on its
     clockwise edges i..i+m-1 and v[i] on the other m edges."""
     m = r.m
-    su = [Fraction(0)]
-    sv = [Fraction(0)]
-    for a, b in zip(r.u, r.v):
-        su.append(su[-1] + a)
-        sv.append(sv[-1] + b)
-    first = [su[k] + sv[m] - sv[k] for k in range(1, m + 1)]
-    second = [sv[k] + su[m] - su[k] for k in range(1, m + 1)]
-    return LoadProfile(tuple(first + second))
+    return arc_loads(2 * m, ((i, i + m, r.u[i - 1], r.v[i - 1]) for i in range(1, m + 1)))
 
 
 def unsplittable_loads(r: CrossingRouting, choices: int) -> LoadProfile:
@@ -296,16 +329,12 @@ def unsplittable_loads(r: CrossingRouting, choices: int) -> LoadProfile:
     m = r.m
     if not isinstance(choices, int) or isinstance(choices, bool) or not 0 <= choices < (1 << m):
         raise MalformedRouting(f"choices {choices!r} out of range for m={m}")
+    zero = Fraction(0)
     d = r.demand_values
-    cw = [Fraction(0)]
-    cc = [Fraction(0)]
-    for i in range(m):
-        take = d[i] if choices >> i & 1 else Fraction(0)
-        cw.append(cw[-1] + take)
-        cc.append(cc[-1] + d[i] - take)
-    first = [cw[k] + cc[m] - cc[k] for k in range(1, m + 1)]
-    second = [cc[k] + cw[m] - cw[k] for k in range(1, m + 1)]
-    return LoadProfile(tuple(first + second))
+    return arc_loads(2 * m, (
+        (i, i + m, d[i - 1], zero) if choices >> (i - 1) & 1 else (i, i + m, zero, d[i - 1])
+        for i in range(1, m + 1)
+    ))
 
 
 def pattern_delta(p: Pattern) -> LoadProfile:

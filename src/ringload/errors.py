@@ -41,10 +41,6 @@ class NotEqualized(RingLoadingError):
     """A construction that must produce uniform edge loads did not."""
 
 
-class OutOfRange(RingLoadingError):
-    """A model size parameter is outside the supported range."""
-
-
 class ParameterOutOfRange(RingLoadingError):
     """A generator or algorithm parameter is outside its domain."""
 

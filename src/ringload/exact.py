@@ -8,12 +8,12 @@ choice mask, which makes every oracle deterministic.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
 from typing import NamedTuple
 
 from .core import CrossingRouting, Pattern, RingInstance, split_loads
+from .core import ccw_edges, cw_edges, scaled_arc_loads
 from .errors import NotEqualized, TooLarge
-from .reduce import GeneralSplitRouting, _ccw_edges, _cw_edges
+from .reduce import GeneralSplitRouting
 
 DEFAULT_CAP = 24
 
@@ -55,14 +55,6 @@ def min_additive_performance(r: CrossingRouting, cap: int = DEFAULT_CAP) -> Perf
     )
 
 
-def _common_scale(*groups) -> tuple[int, list[list[int]]]:
-    """One denominator clearing every value, plus the scaled numerators
-    per group."""
-    flat = [Fraction(x) for group in groups for x in group]
-    denom = lcm(*(f.denominator for f in flat)) if flat else 1
-    return denom, [[int(Fraction(x) * denom) for x in group] for group in groups]
-
-
 class UnsplittableOptimum(NamedTuple):
     value: Fraction
     routing: GeneralSplitRouting
@@ -85,40 +77,27 @@ def _enumerate_unsplittable(
     if k > cap:
         raise TooLarge(f"2^{k} routings exceeds the enumeration cap 2^{cap}")
     n = instance.n
-    denom, (scaled_cw, scaled_val) = _common_scale(
-        base_cw, [d[2] for d in instance.demands]
-    )
-    loads = [0] * (n + 1)  # 1-based edges
-
-    def paths(t):
-        i, j, _ = instance.demands[t]
-        return sorted(_cw_edges(n, i, j)), sorted(_ccw_edges(n, i, j))
-
-    # fixed contribution plus the mask-0 state of the free demands (all
-    # counter-clockwise)
+    demands = instance.demands
+    # mask-0 state: the free demands all counter-clockwise, the rest as given
     free_set = set(free)
-    for t in range(len(instance.demands)):
-        cw_path, ccw_path = paths(t)
-        value = scaled_val[t]
-        if t in free_set:
-            for e in ccw_path:
-                loads[e] += value
-        else:
-            part = scaled_cw[t]
-            for e in cw_path:
-                loads[e] += part
-            for e in ccw_path:
-                loads[e] += value - part
-
-    free_paths = [paths(t) for t in free]
-    best_val = max(loads[1:], default=0)
+    denom, loads = scaled_arc_loads(n, (
+        (i, j, Fraction(0), value) if t in free_set else (i, j, base_cw[t], value - base_cw[t])
+        for t, (i, j, value) in enumerate(demands)
+    ))
+    scaled_val = [int(demands[t][2] * denom) for t in free]
+    # 0-based edge indices of each free demand's two arcs
+    free_paths = [
+        (sorted(e - 1 for e in cw_edges(i, j)), sorted(e - 1 for e in ccw_edges(n, i, j)))
+        for i, j, _ in (demands[t] for t in free)
+    ]
+    best_val = max(loads)
     best_mask = 0
     gray_prev = 0
     for counter in range(1, 1 << k):
         gray = counter ^ (counter >> 1)
         bit = (gray ^ gray_prev).bit_length() - 1
         gray_prev = gray
-        value = scaled_val[free[bit]]
+        value = scaled_val[bit]
         cw_path, ccw_path = free_paths[bit]
         if gray >> bit & 1:  # flipped onto the clockwise path
             for e in cw_path:
@@ -130,7 +109,7 @@ def _enumerate_unsplittable(
                 loads[e] -= value
             for e in ccw_path:
                 loads[e] += value
-        val = max(loads[1:], default=0)
+        val = max(loads)
         if val < best_val or (val == best_val and gray < best_mask):
             best_val = val
             best_mask = gray

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .core import CrossingRouting, DeltaClass, LoadProfile, RingInstance, to_rational
+from .core import arc_loads, ccw_edges, cw_edges, scaled_arc_loads
 from .errors import MalformedRouting
 
 CW = "cw"
@@ -69,42 +70,16 @@ class GeneralSplitRouting:
         )
 
     def loads(self) -> LoadProfile:
-        return _loads(self.instance, self.clockwise, range(len(self.instance.demands)))
+        demands = self.instance.demands
+        return arc_loads(self.instance.n, _arcs(demands, self.clockwise, range(len(demands))))
 
 
-def _cw_edges(n: int, i: int, j: int) -> frozenset[int]:
-    """Edges of the clockwise path i -> j (1 <= i < j <= n)."""
-    return frozenset(range(i, j))
-
-
-def _ccw_edges(n: int, i: int, j: int) -> frozenset[int]:
-    """Edges of the counter-clockwise path i -> j."""
-    return frozenset(range(j, n + 1)) | frozenset(range(1, i))
-
-
-def _loads(instance: RingInstance, clockwise, which) -> LoadProfile:
-    """Edge loads contributed by the selected demands (difference-array sweep)."""
-    n = instance.n
-    diff = [Fraction(0)] * (n + 2)
-
-    def add(lo, hi, amount):  # edges lo..hi inclusive
-        if lo > hi or amount == 0:
-            return
-        diff[lo] += amount
-        diff[hi + 1] -= amount
-
+def _arcs(demands, clockwise, which):
+    """The selected demands (0-based indices) as ``(i, j, cw_part,
+    ccw_part)`` arcs for ``core.scaled_arc_loads``."""
     for t in which:
-        i, j, value = instance.demands[t]
-        part = clockwise[t]
-        add(i, j - 1, part)
-        add(j, n, value - part)
-        add(1, i - 1, value - part)
-    out = []
-    acc = Fraction(0)
-    for k in range(1, n + 1):
-        acc += diff[k]
-        out.append(acc)
-    return LoadProfile(tuple(out))
+        i, j, value = demands[t]
+        yield i, j, clockwise[t], value - clockwise[t]
 
 
 def demands_cross(a: tuple[int, int], b: tuple[int, int]) -> bool:
@@ -137,7 +112,8 @@ def uncross_parallel(s: GeneralSplitRouting) -> tuple[GeneralSplitRouting, tuple
     demands = instance.demands
     cw = list(s.clockwise)
     steps: list[UncrossStep] = []
-    before = _loads(instance, cw, range(len(demands))).loads
+    everything = range(len(demands))
+    denom, before = scaled_arc_loads(n, _arcs(demands, cw, everything))
 
     def pick_pair():
         split = [t for t in range(len(demands)) if 0 < cw[t] < demands[t][2]]
@@ -159,9 +135,9 @@ def uncross_parallel(s: GeneralSplitRouting) -> tuple[GeneralSplitRouting, tuple
         ib, jb, db = demands[sb]
         combo = None
         for pa in (CW, CCW):
-            ea = _cw_edges(n, ia, ja) if pa == CW else _ccw_edges(n, ia, ja)
+            ea = cw_edges(ia, ja) if pa == CW else ccw_edges(n, ia, ja)
             for pb in (CW, CCW):
-                eb = _cw_edges(n, ib, jb) if pb == CW else _ccw_edges(n, ib, jb)
+                eb = cw_edges(ib, jb) if pb == CW else ccw_edges(n, ib, jb)
                 if not ea & eb:
                     combo = (pa, pb)
                     break
@@ -183,9 +159,12 @@ def uncross_parallel(s: GeneralSplitRouting) -> tuple[GeneralSplitRouting, tuple
         steps.append(UncrossStep(sa, sb, pa, pb, amount))
         # at least one demand came off the fence
         assert not (0 < cw[sa] < da) or not (0 < cw[sb] < db)
-        after = _loads(instance, cw, range(len(demands))).loads
-        assert all(x <= y for x, y in zip(after, before)), "uncrossing raised a load"
-        before = after
+        new_denom, after = scaled_arc_loads(n, _arcs(demands, cw, everything))
+        # x / new_denom <= y / denom, cross-multiplied
+        assert all(
+            x * denom <= y * new_denom for x, y in zip(after, before)
+        ), "uncrossing raised a load"
+        denom, before = new_denom, after
     return GeneralSplitRouting(instance, tuple(cw)), tuple(steps)
 
 
@@ -213,7 +192,7 @@ class ReductionTrace:
         rerouting mask (bit p-1 set = crossing demand p fully clockwise)
         on top of the uncrossed base."""
         m = len(self.demand_keys)
-        if not isinstance(choices, int) or not 0 <= choices < (1 << m):
+        if not isinstance(choices, int) or isinstance(choices, bool) or not 0 <= choices < (1 << m):
             raise MalformedRouting(f"choices {choices!r} out of range for m={m}")
         cw = list(self.base.clockwise)
         for p in range(1, m + 1):
@@ -283,18 +262,17 @@ def to_crossing_form(s: GeneralSplitRouting) -> ReductionResult:
 
     # contraction is only sound if the split-demand loads agree on all
     # edges being merged together
-    split_profile = _loads(instance, cw, split_idx).loads
-    merged: dict[int, Fraction] = {}
-    for k in range(1, n + 1):
-        image = images[k - 1]
+    denom, split_profile = scaled_arc_loads(n, _arcs(demands, cw, split_idx))
+    merged: dict[int, int] = {}
+    for image, load in zip(images, split_profile):
         if image in merged:
-            if merged[image] != split_profile[k - 1]:
+            if merged[image] != load:
                 raise MalformedRouting(
-                    f"unequal split loads {merged[image]} vs {split_profile[k - 1]} "
-                    f"on edges merging into reduced edge {image}"
+                    f"unequal split loads {Fraction(merged[image], denom)} vs "
+                    f"{Fraction(load, denom)} on edges merging into reduced edge {image}"
                 )
         else:
-            merged[image] = split_profile[k - 1]
+            merged[image] = load
 
     position = {node: idx + 1 for idx, node in enumerate(kept)}
     by_p: list[int | None] = [None] * m

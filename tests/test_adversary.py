@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from ringload import (
     CrossingRouting,
-    OutOfRange,
     ParameterOutOfRange,
     ParseError,
     build_milp,
@@ -39,7 +38,7 @@ def test_binary_counts(m):
 
 def test_model_size_domain():
     for bad in (1, 13, 0, -2, True, "3"):
-        with pytest.raises(OutOfRange):
+        with pytest.raises(ParameterOutOfRange):
             build_milp(bad)
 
 
@@ -94,6 +93,7 @@ def test_lp_round_trip(m, reduce_vars, symmetry_break):
         "Maximize\n obj: E\nBinaries\n 9bad\nEnd\n",
         "Maximize\n obj: E\nEnd\n trailing\n",
         "Subject To\n feas_1: u_1 + v_1 <= 1\nEnd\n",
+        "Maximize\n obj: ² E\nSubject To\nEnd\n",
     ],
 )
 def test_parse_lp_rejects(text):
@@ -108,7 +108,9 @@ def normalized(r):
 
 @pytest.mark.parametrize(
     "routing", [tight_even(2), CrossingRouting((1, 3), (2, 2)), tight3(),
-                CrossingRouting((2, 1, 3), (1, 5, 2))]
+                CrossingRouting((2, 1, 3), (1, 5, 2)),
+                CrossingRouting((Fraction(2, 3), Fraction(5, 7), Fraction(1, 11)),
+                                (Fraction(1, 7), Fraction(4, 11), Fraction(5, 3)))]
 )
 def test_evaluator_agrees_with_enumeration(routing):
     expected = min_additive_performance(routing).value / routing.max_demand

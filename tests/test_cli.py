@@ -1,9 +1,14 @@
 """Command-line driver: formats, workflows, exit codes."""
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import ringload
 from ringload import GuaranteeViolated, skutella8, tight3
 from ringload.cli import load_input, main, parse_input_text
 
@@ -151,6 +156,7 @@ def test_comments_and_blanks_are_ignored():
         "ring 4\ndemand 1 9 2\n",
         "ring 4\ndemand 1 3 2 5\n",
         "ring 4\nedge 1 3 2\n",
+        "ring ²\n",
     ],
 )
 def test_parse_rejects(tmp_path, capsys, text):
@@ -214,3 +220,32 @@ def test_usage_errors_exit_2(capsys):
         main(["gen", "skutella8", "--eps", "0.5"])
     assert info.value.code == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "split 3\npair 2 5\npair 9 3\npair 5 4\n",
+        "ring 8\ndemand 1 5 2 1\ndemand 2 6 2 1\ndemand 3 4 1 0\n",
+    ],
+    ids=["split", "ring"],
+)
+def test_optimized_interpreter_gives_the_same_output(tmp_path, text):
+    # `python -O` strips every assert: the library must still compute
+    # the same results without them
+    path = tmp_path / "inst.txt"
+    path.write_text(text)
+    src = str(Path(ringload.__file__).resolve().parents[1])
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONOPTIMIZE"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    env["PYTHONIOENCODING"] = "utf-8"
+    for command in (["round", str(path)], ["verify", str(path)], ["boost", str(path), "--check"]):
+        normal, optimized = (
+            subprocess.run(
+                [sys.executable, *flags, "-m", "ringload.cli", *command],
+                capture_output=True, encoding="utf-8", env=env, cwd=tmp_path,
+            )
+            for flags in ([], ["-O"])
+        )
+        assert normal.returncode == 0, normal.stderr
+        assert (optimized.returncode, optimized.stdout) == (normal.returncode, normal.stdout)

@@ -148,3 +148,6 @@ def test_lift_validates_mask():
         result.trace.lift(1 << 7)
     with pytest.raises(MalformedRouting):
         result.trace.lift("0")
+    for flag in (True, False):  # bools are ints, but Pattern refuses them too
+        with pytest.raises(MalformedRouting):
+            result.trace.lift(flag)
