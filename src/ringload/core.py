@@ -148,7 +148,11 @@ class CrossingRouting:
     def classify_delta(self) -> DeltaClass:
         """Smallest delta such that all demands clear the middle band
         ``(delta*D, (1-delta)*D)``; ties on the witness go to the
-        smallest index for reproducibility."""
+        smallest index for reproducibility.  Computed once per routing."""
+        return self._delta_class
+
+    @cached_property
+    def _delta_class(self) -> DeltaClass:
         _, us, vs = self.scaled
         d = [a + b for a, b in zip(us, vs)]
         big = max(d)

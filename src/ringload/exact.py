@@ -1,18 +1,19 @@
-"""Exact brute-force oracles (exponential, desk-scale instances only).
+"""Exact oracles (exponential in the worst case, desk-scale instances only).
 
-All enumeration runs on integers after clearing denominators, so results
-are exact rationals.  Witnesses are reported for the lowest qualifying
-choice mask, which makes every oracle deterministic.
+All enumeration and search runs on integers after clearing denominators,
+so results are exact rationals.  Witnesses are reported for the lowest
+qualifying choice mask, which makes every oracle deterministic.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import accumulate
 from typing import NamedTuple
 
 from .core import CrossingRouting, Pattern, RingInstance, split_loads
 from .core import ccw_edges, cw_edges, scaled_arc_loads
-from .errors import NotEqualized, TooLarge
+from .errors import GuaranteeViolated, NotEqualized, TooLarge
 from .reduce import GeneralSplitRouting
 
 DEFAULT_CAP = 24
@@ -25,34 +26,48 @@ class PerformanceOptimum(NamedTuple):
 
 def min_additive_performance(r: CrossingRouting, cap: int = DEFAULT_CAP) -> PerformanceOptimum:
     """Smallest additive performance over all 2^m complete reroutings of
-    a crossing routing, with a witness pattern anchored at 0."""
+    a crossing routing, with a witness pattern anchored at 0.
+
+    Depth-first branch-and-bound over the integer walk read backward from
+    its end, which sits at 0: bit m-1 is fixed first and "down" (bit
+    clear) is tried before "up", so leaves arrive in ascending mask order
+    and the first optimum reached is the lowest mask.  A prefix is pruned
+    once a lower bound on every completion reaches the incumbent.
+    """
     m = r.m
     if m > cap:
         raise TooLarge(f"2^{m} reroutings exceeds the enumeration cap 2^{cap}")
     denom, steps_down, steps_up = r.scaled
-    best_val: int | None = None
+    # with bits 0..k-1 open at position p, the start lies in
+    # [p - up_sum[k], p + down_sum[k]]
+    down_sum = tuple(accumulate(steps_down, initial=0))
+    up_sum = tuple(accumulate(steps_up, initial=0))
+    best = 2 * (down_sum[m] + up_sum[m]) + 1  # above every bound
     best_mask = 0
-    for mask in range(1 << m):
-        p = 0
-        lo = 0
-        hi = 0
-        for i in range(m):
-            if mask >> i & 1:
-                p += steps_up[i]
-            else:
-                p -= steps_down[i]
-            if p < lo:
-                lo = p
-            elif p > hi:
-                hi = p
-        perf = max(2 * hi - p, p - 2 * lo)
-        if best_val is None or perf < best_val:
-            best_val = perf
-            best_mask = mask
-    assert best_val is not None
-    return PerformanceOptimum(
-        Fraction(best_val, denom), Pattern(r, best_mask, Fraction(0))
-    )
+
+    def descend(k: int, p: int, lo: int, hi: int, mask: int) -> None:
+        # performance is max(2b - x, x - 2a) for strip [a, b] and start x;
+        # at a leaf (k = 0) the bound below is exactly that
+        nonlocal best, best_mask
+        k -= 1
+        for q, choice in ((p + steps_down[k], mask), (p - steps_up[k], mask | 1 << k)):
+            q_lo = q if q < lo else lo
+            q_hi = q if q > hi else hi
+            bound = max(q_hi - q_lo, 2 * q_hi - q - down_sum[k], q - up_sum[k] - 2 * q_lo)
+            if bound < best:
+                if k:
+                    descend(k, q, q_lo, q_hi, choice)
+                else:
+                    best, best_mask = bound, choice
+
+    descend(m, 0, 0, 0, 0)
+    value = Fraction(best, denom)
+    witness = Pattern(r, best_mask, Fraction(0))
+    if witness.performance != value:
+        raise GuaranteeViolated(
+            f"witness mask {best_mask:#x} performs {witness.performance}, not the optimum {value}"
+        )
+    return PerformanceOptimum(value, witness)
 
 
 class UnsplittableOptimum(NamedTuple):
@@ -119,7 +134,10 @@ def _enumerate_unsplittable(
         cw_out[t] = value if best_mask >> pos & 1 else Fraction(0)
     witness = GeneralSplitRouting(instance, tuple(cw_out))
     result = Fraction(best_val, denom)
-    assert witness.loads().max_load == result
+    if witness.loads().max_load != result:
+        raise GuaranteeViolated(
+            f"witness routing loads {witness.loads().max_load}, not the optimum {result}"
+        )
     return UnsplittableOptimum(result, witness)
 
 

@@ -8,6 +8,7 @@ library and the tests can only agree by being right.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from random import Random
 
 from hypothesis import strategies as st
@@ -103,17 +104,30 @@ def naive_performance(r: CrossingRouting, choices: int) -> Fraction:
 
 
 def naive_min_performance(r: CrossingRouting, reverse: bool = False):
-    """(value, lowest optimal mask) by plain mask enumeration; the
-    reverse flag flips the visiting order to probe order independence."""
+    """(value, lowest optimal mask) by plain mask enumeration over the
+    per-edge loads of every mask (explicit membership, as in
+    ``crossing_edge_load``, on integers over the least common denominator
+    of the parts); the reverse flag flips the visiting order to probe
+    order independence."""
+    m = r.m
+    scale = lcm(*(x.denominator for x in r.u + r.v))
+    u = [int(x * scale) for x in r.u]
+    v = [int(x * scale) for x in r.v]
+    # the demands (0-based) whose clockwise path covers edge k, k = 1..2m
+    clockwise = [{i for i in range(m) if i + 1 <= k <= i + m} for k in range(1, 2 * m + 1)]
+    split = [sum(u[i] if i in cw else v[i] for i in range(m)) for cw in clockwise]
     masks = range((1 << r.m) - 1, -1, -1) if reverse else range(1 << r.m)
     best = None
     best_mask = None
     for mask in masks:
-        perf = naive_performance(r, mask)
+        perf = max(
+            sum(u[i] + v[i] for i in range(m) if (i in cw) == bool(mask >> i & 1)) - load
+            for cw, load in zip(clockwise, split)
+        )
         if best is None or perf < best or (perf == best and mask < best_mask):
             best = perf
             best_mask = mask
-    return best, best_mask
+    return Fraction(best, scale), best_mask
 
 
 def naive_unsplittable_optimum(instance: RingInstance):

@@ -36,6 +36,10 @@ def test_round_brute_reports_the_enumerated_optimum(tmp_path, capsys):
     assert "realized load increase: 11 (≈ 11)" in out
     assert "method: brute-force" in out
     assert "max edge load: 35" in out
+    # the lowest-mask witness, demand by demand
+    directions = [line.split(": ")[1] for line in out.splitlines() if line.startswith("  demand ")]
+    ccw, cw = "counter-clockwise", "clockwise"
+    assert directions == [ccw, cw, ccw, cw, cw, ccw, ccw, ccw]
 
 
 def test_round_main_report_structure(tmp_path, capsys):
@@ -239,7 +243,13 @@ def test_optimized_interpreter_gives_the_same_output(tmp_path, text):
     env = {key: value for key, value in os.environ.items() if key != "PYTHONOPTIMIZE"}
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
     env["PYTHONIOENCODING"] = "utf-8"
-    for command in (["round", str(path)], ["verify", str(path)], ["boost", str(path), "--check"]):
+    for command in (
+        ["round", str(path)],
+        ["round", str(path), "--method", "brute"],
+        ["verify", str(path)],
+        ["boost", str(path), "--check"],
+        ["search", "4", "--budget", "1", "--seed", "7"],
+    ):
         normal, optimized = (
             subprocess.run(
                 [sys.executable, *flags, "-m", "ringload.cli", *command],

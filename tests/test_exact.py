@@ -1,6 +1,7 @@
 """Brute-force oracles against naive enumerations and pinned optima."""
 
 from fractions import Fraction
+from random import Random
 
 import pytest
 from hypothesis import given, settings
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from ringload import (
     BoostedInstance,
     CrossingRouting,
+    GuaranteeViolated,
     NotEqualized,
     RingInstance,
     ShortComponent,
@@ -29,10 +31,12 @@ from ringload import (
     tight6,
     tight_even,
 )
+from ringload import exact
 from support import (
     crossing_routings,
     general_routings,
     naive_min_performance,
+    naive_performance,
     naive_unsplittable_optimum,
 )
 
@@ -46,6 +50,29 @@ def test_min_performance_matches_naive(r):
     assert additive_performance(witness) == value
     # visiting order cannot matter
     assert naive_min_performance(r, reverse=True)[0] == value
+    # the enumeration agrees with the per-mask rational oracle
+    assert naive_performance(r, naive_mask) == naive_value
+
+
+def _tie_heavy(m: int, seed: int) -> CrossingRouting:
+    # parts in 1..3: many masks share the optimum, so the witness rule shows
+    rng = Random(seed)
+    return CrossingRouting(
+        tuple(rng.randint(1, 3) for _ in range(m)), tuple(rng.randint(1, 3) for _ in range(m))
+    )
+
+
+@pytest.mark.parametrize(
+    "r",
+    [pytest.param(_tie_heavy(m, seed), id=f"m{m}-seed{seed}")
+     for m in range(8, 13) for seed in range(3)]
+    + [pytest.param(skutella8(0), id="skutella8"),
+       pytest.param(seven18(), id="seven18"),
+       pytest.param(tight_even(8), id="tight_even8")],
+)
+def test_min_performance_witness_beyond_m7(r):
+    value, witness = min_additive_performance(r)
+    assert (value, witness.choices) == naive_min_performance(r)
 
 
 def test_min_performance_goldens():
@@ -66,6 +93,21 @@ def test_enumeration_caps():
     inst = RingInstance(4, ((1, 3, Fraction(1)), (2, 4, Fraction(1))))
     with pytest.raises(TooLarge):
         optimal_unsplittable(inst, demand_cap=1)
+
+
+def test_oracle_witnesses_are_rechecked(monkeypatch):
+    # a witness that does not realize the optimum is a broken guarantee,
+    # raised explicitly so that it also holds under `python -O`
+    pattern, routing = exact.Pattern, exact.GeneralSplitRouting
+    monkeypatch.setattr(exact, "Pattern", lambda r, mask, start: pattern(r, mask ^ 1, start))
+    with pytest.raises(GuaranteeViolated):
+        min_additive_performance(skutella8(0))
+    monkeypatch.setattr(
+        exact, "GeneralSplitRouting",
+        lambda inst, cw: routing(inst, tuple(value for _, _, value in inst.demands)),
+    )
+    with pytest.raises(GuaranteeViolated):
+        optimal_unsplittable(RingInstance(4, ((1, 2, Fraction(1)), (1, 3, Fraction(2)))))
 
 
 @settings(max_examples=60)

@@ -6,9 +6,11 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import ringload.core
 from ringload import (
     BoundedRounding,
     CrossingRouting,
+    DeltaClass,
     GuaranteeViolated,
     LengthMismatch,
     ParameterOutOfRange,
@@ -94,6 +96,26 @@ def test_dispatch_guards():
     # seven18 has spread 4/9 > 2/5: the upper construction refuses it
     with pytest.raises(ParameterOutOfRange):
         round_upper(seven18(), Fraction(4, 9))
+    # a class computed (and kept) beforehand does not let a wrong one through
+    r = skutella8(0)
+    assert r.classify_delta().value == Fraction(2, 5)
+    for construction in (round_medium, round_upper):
+        with pytest.raises(ParameterOutOfRange):
+            construction(r, Fraction(1, 3))
+
+
+@pytest.mark.parametrize("make", [skutella8, seven18, tight3, tight6])
+def test_round_main_classifies_once(make, monkeypatch):
+    built = []
+
+    def counting(*args):
+        built.append(args)
+        return DeltaClass(*args)
+
+    monkeypatch.setattr(ringload.core, "DeltaClass", counting)
+    r = make()
+    round_main(r)
+    assert len(built) == 1
 
 
 def test_round_medium_goldens():
