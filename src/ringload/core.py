@@ -298,20 +298,29 @@ def scaled_arc_loads(n: int, arcs) -> tuple[int, list[int]]:
     least common denominator of all parts and the integer load of edge
     k in units of ``1 / denom`` at ``loads[k - 1]``.
 
-    Each arc puts ``ccw_part`` on every edge, then ``cw_part - ccw_part``
-    on its clockwise edges i..j-1 (difference-array sweep)."""
+    The sweep itself is ``integer_arc_loads``."""
     arcs = list(arcs)
     denom = lcm(*(x.denominator for _, _, a, b in arcs for x in (a, b)))
+    return denom, integer_arc_loads(n, (
+        (i, j, a.numerator * (denom // a.denominator), b.numerator * (denom // b.denominator))
+        for i, j, a, b in arcs
+    ))
+
+
+def integer_arc_loads(n: int, arcs) -> list[int]:
+    """Integer edge loads of an n-ring carrying ``(i, j, cw_part,
+    ccw_part)`` arcs with integer parts, edge k at ``loads[k - 1]``.
+
+    Each arc puts ``ccw_part`` on every edge, then ``cw_part - ccw_part``
+    on its clockwise edges i..j-1 (difference-array sweep)."""
     base = 0
     diff = [0] * n
     for i, j, a, b in arcs:
-        a = a.numerator * (denom // a.denominator)
-        b = b.numerator * (denom // b.denominator)
         base += b
         diff[i - 1] += a - b
         diff[j - 1] -= a - b
     diff[0] += base
-    return denom, list(accumulate(diff))
+    return list(accumulate(diff))
 
 
 def arc_loads(n: int, arcs) -> LoadProfile:

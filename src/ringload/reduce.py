@@ -16,10 +16,11 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .core import CrossingRouting, DeltaClass, LoadProfile, RingInstance, to_rational
-from .core import arc_loads, ccw_edges, cw_edges, scaled_arc_loads
-from .errors import MalformedRouting
+from .core import arc_loads, ccw_edges, cw_edges, integer_arc_loads, scaled_arc_loads
+from .errors import GuaranteeViolated, MalformedRouting
 
 CW = "cw"
 CCW = "ccw"
@@ -105,67 +106,68 @@ class UncrossStep:
 def uncross_parallel(s: GeneralSplitRouting) -> tuple[GeneralSplitRouting, tuple[UncrossStep, ...]]:
     """Exchange flow between parallel split demands until all remaining
     split demands pairwise cross.  Each exchange pushes both demands onto
-    edge-disjoint paths, so no edge load ever increases (asserted), and
-    at least one of the two demands becomes one-sided."""
+    edge-disjoint paths, so no edge load ever increases (checked), and at
+    least one of the two demands becomes one-sided.  The loop runs on
+    integers over the least common denominator of every demand value and
+    clockwise part; an exchange amount is a difference of existing parts."""
     instance = s.instance
     n = instance.n
     demands = instance.demands
-    cw = list(s.clockwise)
+    denom = lcm(*(x.denominator for x in s.clockwise), *(d[2].denominator for d in demands))
+    value = [d[2].numerator * (denom // d[2].denominator) for d in demands]
+    cw = [x.numerator * (denom // x.denominator) for x in s.clockwise]
+
+    def loads():
+        return integer_arc_loads(n, (
+            (i, j, cw[t], value[t] - cw[t]) for t, (i, j, _) in enumerate(demands)
+        ))
+
+    before = loads()
     steps: list[UncrossStep] = []
-    everything = range(len(demands))
-    denom, before = scaled_arc_loads(n, _arcs(demands, cw, everything))
-
-    def pick_pair():
-        split = [t for t in range(len(demands)) if 0 < cw[t] < demands[t][2]]
-        # deterministic: scan pairs ordered by endpoint labels, then index
-        order = sorted(split, key=lambda t: (demands[t][0], demands[t][1], t))
-        for a_pos in range(len(order)):
-            for b_pos in range(a_pos + 1, len(order)):
-                sa, sb = order[a_pos], order[b_pos]
-                if not demands_cross(demands[sa][:2], demands[sb][:2]):
-                    return sa, sb
-        return None
-
-    while True:
-        pair = pick_pair()
-        if pair is None:
-            break
-        sa, sb = pair
-        ia, ja, da = demands[sa]
-        ib, jb, db = demands[sb]
-        combo = None
-        for pa in (CW, CCW):
-            ea = cw_edges(ia, ja) if pa == CW else ccw_edges(n, ia, ja)
-            for pb in (CW, CCW):
-                eb = cw_edges(ib, jb) if pb == CW else ccw_edges(n, ib, jb)
-                if not ea & eb:
-                    combo = (pa, pb)
-                    break
-            if combo:
+    # pairs in order of endpoint labels, then index; crossing depends on
+    # the endpoints alone and a demand that became one-sided is never
+    # picked again, so one forward scan meets the parallel split pairs in
+    # the order a fresh scan after every exchange would pick them
+    order = sorted(
+        (t for t in range(len(demands)) if 0 < cw[t] < value[t]),
+        key=lambda t: (demands[t][0], demands[t][1], t),
+    )
+    for a_pos, sa in enumerate(order):
+        ia, ja, _ = demands[sa]
+        for sb in order[a_pos + 1:]:
+            if not 0 < cw[sa] < value[sa]:
                 break
-        if combo is None:
-            raise MalformedRouting(
-                f"no edge-disjoint path combination for parallel demands "
-                f"({ia},{ja}) and ({ib},{jb})"
-            )
-        pa, pb = combo
-        # amount limited by the flow still on each complement path
-        room_a = da - cw[sa] if pa == CW else cw[sa]
-        room_b = db - cw[sb] if pb == CW else cw[sb]
-        amount = min(room_a, room_b)
-        assert amount > 0
-        cw[sa] += amount if pa == CW else -amount
-        cw[sb] += amount if pb == CW else -amount
-        steps.append(UncrossStep(sa, sb, pa, pb, amount))
-        # at least one demand came off the fence
-        assert not (0 < cw[sa] < da) or not (0 < cw[sb] < db)
-        new_denom, after = scaled_arc_loads(n, _arcs(demands, cw, everything))
-        # x / new_denom <= y / denom, cross-multiplied
-        assert all(
-            x * denom <= y * new_denom for x, y in zip(after, before)
-        ), "uncrossing raised a load"
-        denom, before = new_denom, after
-    return GeneralSplitRouting(instance, tuple(cw)), tuple(steps)
+            ib, jb, _ = demands[sb]
+            if not 0 < cw[sb] < value[sb] or demands_cross((ia, ja), (ib, jb)):
+                continue
+            combo = next((
+                (pa, pb)
+                for pa, ea in ((CW, cw_edges(ia, ja)), (CCW, ccw_edges(n, ia, ja)))
+                for pb, eb in ((CW, cw_edges(ib, jb)), (CCW, ccw_edges(n, ib, jb)))
+                if not ea & eb
+            ), None)
+            if combo is None:
+                raise MalformedRouting(
+                    f"no edge-disjoint path combination for parallel demands "
+                    f"({ia},{ja}) and ({ib},{jb})"
+                )
+            pa, pb = combo
+            # amount limited by the flow still on each complement path
+            room_a = value[sa] - cw[sa] if pa == CW else cw[sa]
+            room_b = value[sb] - cw[sb] if pb == CW else cw[sb]
+            amount = min(room_a, room_b)
+            if amount <= 0:
+                raise GuaranteeViolated(f"uncrossing amount {Fraction(amount, denom)} is not positive")
+            cw[sa] += amount if pa == CW else -amount
+            cw[sb] += amount if pb == CW else -amount
+            if 0 < cw[sa] < value[sa] and 0 < cw[sb] < value[sb]:
+                raise GuaranteeViolated(f"neither ({ia},{ja}) nor ({ib},{jb}) came off the fence")
+            after = loads()
+            if any(x > y for x, y in zip(after, before)):
+                raise GuaranteeViolated(f"uncrossing ({ia},{ja}) and ({ib},{jb}) raised a load")
+            before = after
+            steps.append(UncrossStep(sa, sb, pa, pb, Fraction(amount, denom)))
+    return GeneralSplitRouting(instance, tuple(Fraction(x, denom) for x in cw)), tuple(steps)
 
 
 @dataclass(frozen=True)
@@ -224,10 +226,11 @@ def to_crossing_form(s: GeneralSplitRouting) -> ReductionResult:
     demands = instance.demands
     cw = base.clockwise
 
-    split_idx = list(base.split_indices())
+    split_idx = base.split_indices()
+    split_set = set(split_idx)
     fixed: list[str | None] = []
     for t, (i, j, value) in enumerate(demands):
-        if t in split_idx:
+        if t in split_set:
             fixed.append(None)
         elif value > 0 and cw[t] == value:
             fixed.append(CW)
@@ -251,7 +254,8 @@ def to_crossing_form(s: GeneralSplitRouting) -> ReductionResult:
 
     kept = sorted(endpoint_owners)
     m = len(split_idx)
-    assert len(kept) == 2 * m
+    if len(kept) != 2 * m:
+        raise GuaranteeViolated(f"{m} split demands keep {len(kept)} nodes, not {2 * m}")
 
     # merged edge t covers the original arc kept[t-1] -> kept[t]
     # (clockwise); edge 2m wraps from kept[-1] around to kept[0]
@@ -280,11 +284,14 @@ def to_crossing_form(s: GeneralSplitRouting) -> ReductionResult:
         i, j, value = demands[t]
         p, q = position[i], position[j]
         # pairwise-crossing endpoints must interleave perfectly
-        assert q - p == m, f"demand ({i},{j}) relabels to ({p},{q}), not antipodal"
-        assert by_p[p - 1] is None
+        if q - p != m:
+            raise GuaranteeViolated(f"demand ({i},{j}) relabels to ({p},{q}), not antipodal")
+        if by_p[p - 1] is not None:
+            raise GuaranteeViolated(f"demand ({i},{j}) relabels onto a taken slot {p}")
         by_p[p - 1] = t
     keys = tuple(t for t in by_p if t is not None)
-    assert len(keys) == m
+    if len(keys) != m:
+        raise GuaranteeViolated(f"{len(keys)} relabelled demands, not {m}")
 
     u = tuple(cw[t] for t in keys)
     v = tuple(demands[t][2] - cw[t] for t in keys)

@@ -14,12 +14,18 @@ from random import Random
 from hypothesis import strategies as st
 
 from ringload import (
+    CCW,
+    CW,
     CrossingRouting,
     GeneralSplitRouting,
+    MalformedRouting,
     Pattern,
     RingInstance,
+    UncrossStep,
+    demands_cross,
     pattern_delta,
 )
+from ringload.core import ccw_edges, cw_edges, scaled_arc_loads
 
 positive_rationals = st.fractions(
     min_value=Fraction(1, 12), max_value=Fraction(24), max_denominator=12
@@ -165,6 +171,75 @@ def general_edge_load(g: GeneralSplitRouting, k: int) -> Fraction:
 
 def naive_general_loads(g: GeneralSplitRouting) -> tuple[Fraction, ...]:
     return tuple(general_edge_load(g, k) for k in range(1, g.instance.n + 1))
+
+
+def naive_uncross(s: GeneralSplitRouting):
+    """Reference for ``uncross_parallel``: the same exchanges in plain
+    ``Fraction`` arithmetic, rescanning every split pair after each
+    exchange and checking every load against the previous sweep."""
+    instance = s.instance
+    n = instance.n
+    demands = instance.demands
+    cw = list(s.clockwise)
+    steps: list[UncrossStep] = []
+
+    def arcs():
+        for t, (i, j, value) in enumerate(demands):
+            yield i, j, cw[t], value - cw[t]
+
+    denom, before = scaled_arc_loads(n, arcs())
+
+    def pick_pair():
+        split = [t for t in range(len(demands)) if 0 < cw[t] < demands[t][2]]
+        # deterministic: scan pairs ordered by endpoint labels, then index
+        order = sorted(split, key=lambda t: (demands[t][0], demands[t][1], t))
+        for a_pos in range(len(order)):
+            for b_pos in range(a_pos + 1, len(order)):
+                sa, sb = order[a_pos], order[b_pos]
+                if not demands_cross(demands[sa][:2], demands[sb][:2]):
+                    return sa, sb
+        return None
+
+    while True:
+        pair = pick_pair()
+        if pair is None:
+            break
+        sa, sb = pair
+        ia, ja, da = demands[sa]
+        ib, jb, db = demands[sb]
+        combo = None
+        for pa in (CW, CCW):
+            ea = cw_edges(ia, ja) if pa == CW else ccw_edges(n, ia, ja)
+            for pb in (CW, CCW):
+                eb = cw_edges(ib, jb) if pb == CW else ccw_edges(n, ib, jb)
+                if not ea & eb:
+                    combo = (pa, pb)
+                    break
+            if combo:
+                break
+        if combo is None:
+            raise MalformedRouting(
+                f"no edge-disjoint path combination for parallel demands "
+                f"({ia},{ja}) and ({ib},{jb})"
+            )
+        pa, pb = combo
+        # amount limited by the flow still on each complement path
+        room_a = da - cw[sa] if pa == CW else cw[sa]
+        room_b = db - cw[sb] if pb == CW else cw[sb]
+        amount = min(room_a, room_b)
+        assert amount > 0
+        cw[sa] += amount if pa == CW else -amount
+        cw[sb] += amount if pb == CW else -amount
+        steps.append(UncrossStep(sa, sb, pa, pb, amount))
+        # at least one demand came off the fence
+        assert not (0 < cw[sa] < da) or not (0 < cw[sb] < db)
+        new_denom, after = scaled_arc_loads(n, arcs())
+        # x / new_denom <= y / denom, cross-multiplied
+        assert all(
+            x * denom <= y * new_denom for x, y in zip(after, before)
+        ), "uncrossing raised a load"
+        denom, before = new_denom, after
+    return GeneralSplitRouting(instance, tuple(cw)), tuple(steps)
 
 
 def resimulate_forward(r: CrossingRouting, x: Fraction) -> int:

@@ -231,8 +231,10 @@ def test_usage_errors_exit_2(capsys):
     [
         "split 3\npair 2 5\npair 9 3\npair 5 4\n",
         "ring 8\ndemand 1 5 2 1\ndemand 2 6 2 1\ndemand 3 4 1 0\n",
+        # two uncrossing exchanges, then m = 2
+        "ring 8\ndemand 1 2 4 2\ndemand 1 5 4 3\ndemand 1 8 4 2\ndemand 4 7 4 3\n",
     ],
-    ids=["split", "ring"],
+    ids=["split", "ring", "uncrossing"],
 )
 def test_optimized_interpreter_gives_the_same_output(tmp_path, text):
     # `python -O` strips every assert: the library must still compute

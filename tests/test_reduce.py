@@ -1,6 +1,7 @@
 """Reduction to crossing form: uncrossing, contraction, lifting."""
 
 from fractions import Fraction
+from random import Random
 
 import pytest
 from hypothesis import given
@@ -10,6 +11,7 @@ from ringload import (
     CCW,
     CrossingRouting,
     GeneralSplitRouting,
+    GuaranteeViolated,
     MalformedRouting,
     RingInstance,
     demands_cross,
@@ -19,11 +21,13 @@ from ringload import (
     to_crossing_form,
     uncross_parallel,
 )
+from ringload import reduce as reduce_module
 from support import (
     check_trace_replay,
     crossing_routings,
     general_routings,
     naive_general_loads,
+    naive_uncross,
 )
 
 
@@ -89,6 +93,50 @@ def test_uncross_shared_endpoint_pair():
     assert len(steps) == 1
     assert out.split_indices() == ()
     assert max(out.loads()) <= max(g.loads())
+
+
+def test_uncross_matches_fraction_reference():
+    """The integer loop replays the rescanning Fraction loop exactly,
+    on co-prime denominators whose least common multiple is 1001."""
+    rng = Random(1001)
+    dens = (7, 11, 13)
+    for _ in range(120):
+        n = rng.randint(4, 14)
+        pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+        demands = []
+        parts = []
+        for i, j in rng.sample(pairs, rng.randint(1, min(30, len(pairs)))):
+            den, part_den = rng.choice(dens), rng.choice(dens)
+            num = rng.randint(0, 24 * den)
+            demands.append((i, j, Fraction(num, den)))
+            if rng.random() < 0.7:
+                parts.append(Fraction(rng.randint(0, num * part_den), den * part_den))
+            else:
+                parts.append(Fraction(num, den) if rng.random() < 0.5 else Fraction(0))
+        g = GeneralSplitRouting(RingInstance(n, tuple(demands)), tuple(parts))
+        assert uncross_parallel(g) == naive_uncross(g)
+
+
+def test_uncross_resumes_the_scan_after_an_exchange():
+    # three mutually parallel split demands: (1,2) survives its exchange
+    # with (3,4) and then pairs with the later (5,6)
+    inst = RingInstance(6, ((1, 2, Fraction(4)), (3, 4, Fraction(2)), (5, 6, Fraction(2))))
+    g = GeneralSplitRouting(inst, (Fraction(1), Fraction(1), Fraction(1)))
+    out, steps = uncross_parallel(g)
+    assert [(s.first, s.second, s.amount) for s in steps] == [(0, 1, 1), (0, 2, 1)]
+    assert out.clockwise == (3, 2, 2)
+    assert (out, steps) == naive_uncross(g)
+
+
+def test_uncross_guarantees_are_checked_not_asserted(monkeypatch):
+    # with empty paths every combination looks edge-disjoint, so the
+    # nested pair (1,5)/(2,4) is pushed onto overlapping clockwise arcs
+    monkeypatch.setattr(reduce_module, "cw_edges", lambda i, j: frozenset())
+    monkeypatch.setattr(reduce_module, "ccw_edges", lambda n, i, j: frozenset())
+    inst = RingInstance(6, ((1, 5, Fraction(2)), (2, 4, Fraction(2))))
+    g = GeneralSplitRouting(inst, (Fraction(1), Fraction(1)))
+    with pytest.raises(GuaranteeViolated):
+        uncross_parallel(g)
 
 
 @given(crossing_routings(min_m=2, max_m=6))
