@@ -76,7 +76,6 @@ from .reduce import (
     ReductionResult,
     ReductionTrace,
     UncrossStep,
-    classify_delta,
     demands_cross,
     to_crossing_form,
     uncross_parallel,

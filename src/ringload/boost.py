@@ -25,10 +25,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import ClassVar, Union
 
-from .core import CrossingRouting, RingInstance, ccw_edges, cw_edges, split_loads
-from .errors import BoundViolated
+from .core import CrossingRouting, LoadProfile, RingInstance, ccw_edges, cw_edges
+from .core import integer_arc_loads
+from .errors import BoundViolated, GuaranteeViolated
 from .reduce import GeneralSplitRouting
 
 
@@ -59,7 +61,9 @@ class BoostedInstance:
 
     ``components[t]`` explains demand t of ``instance``; routing every
     short on its home path while splitting each crossing demand as in
-    ``source`` loads every edge to exactly ``equalized_load``.
+    ``source`` loads every edge to exactly ``equalized_load``.  That
+    canonical routing and its loads are built once, on first use, and
+    cached outside the dataclass fields.
     """
 
     instance: RingInstance
@@ -68,6 +72,7 @@ class BoostedInstance:
     equalized_load: Fraction
     dropped_zero_shorts: int
 
+    @cached_property
     def canonical_routing(self) -> GeneralSplitRouting:
         """Split routing of the instance: source splits on the crossing
         demands, home paths for the shorts."""
@@ -80,18 +85,30 @@ class BoostedInstance:
             home = frozenset(component.home_edges)
             if home == cw_edges(i, j):
                 cw.append(value)
-            else:
-                assert home == ccw_edges(n, i, j), "home is neither arc of its demand"
+            elif home == ccw_edges(n, i, j):
                 cw.append(Fraction(0))
+            else:
+                raise GuaranteeViolated(
+                    f"home edges {component.home_edges} are neither arc of demand ({i},{j})"
+                )
         return GeneralSplitRouting(self.instance, tuple(cw))
+
+    @cached_property
+    def canonical_loads(self) -> LoadProfile:
+        """Edge loads of ``canonical_routing``."""
+        return self.canonical_routing.loads()
 
 
 def boost(r: CrossingRouting) -> BoostedInstance:
-    """Build the equalized instance embedding the given crossing routing."""
+    """Build the equalized instance embedding the given crossing routing.
+
+    Filler values are worked out on integers in units of
+    ``1 / r.scaled[0]`` and become rationals only in the output."""
     m = r.m
-    big = r.max_demand
-    profile = split_loads(r)
-    top = profile.max_load
+    denom, us, vs = r.scaled
+    big = max(a + b for a, b in zip(us, vs))
+    loads = integer_arc_loads(2 * m, ((i, i + m, us[i - 1], vs[i - 1]) for i in range(1, m + 1)))
+    top = max(loads)
 
     # the ring under construction, as an ordered token list; token t at
     # list index p ends up as node p+1
@@ -101,38 +118,43 @@ def boost(r: CrossingRouting) -> BoostedInstance:
         ring.append(("h", k))  # half-edge node from the step-2 subdivision
 
     # shorts as mutable [from_token, to_token, value, capped] arcs, where
-    # to_token is the from_token's ring successor at creation time
+    # to_token is the from_token's ring successor at creation time;
+    # ``single`` maps a token to the uncapped filler on the ring edge
+    # leaving it
     shorts: list[list] = []
+    single: dict[tuple, list] = {}
     dropped = 0
     for k in range(1, 2 * m + 1):
-        gap = top - profile.loads[k - 1]
+        gap = top - loads[k - 1]
         if gap == 0:
             dropped += 1
             continue
         succ = ("o", k + 1) if k < 2 * m else ("o", 1)
-        shorts.append([("o", k), ("h", k), gap, False])
-        shorts.append([("h", k), succ, gap, False])
+        for rec in ([("o", k), ("h", k), gap, False], [("h", k), succ, gap, False]):
+            shorts.append(rec)
+            single[rec[0]] = rec
 
+    # one scan in ring order: a cap touches only the edge at the scan
+    # point and the new edge right after it, so every oversized filler is
+    # met in ascending ring position, the flank at the scan point first
     fresh = 0
-    while True:
-        position = {tok: idx for idx, tok in enumerate(ring)}
-
-        def arc_len(rec):
-            a, b = position[rec[0]], position[rec[1]]
-            return b - a if b > a else len(ring) - a
-
-        oversized = [rec for rec in shorts if rec[2] > big and arc_len(rec) == 1]
-        if not oversized:
-            break
-        rec = min(oversized, key=lambda rec: position[rec[0]])
+    p = 0
+    while p < len(ring):
+        rec = single.get(ring[p])
+        if rec is None or rec[2] <= big:
+            p += 1
+            continue
         a, b, value, _ = rec
         fresh += 1
         waypoint = ("x", fresh)
-        ring.insert(position[a] + 1, waypoint)
+        ring.insert(p + 1, waypoint)
         rec[2] = big
         rec[3] = True
-        shorts.append([a, waypoint, value - big, False])
-        shorts.append([waypoint, b, value - big, False])
+        left = [a, waypoint, value - big, False]
+        right = [waypoint, b, value - big, False]
+        shorts += (left, right)
+        single[a] = left
+        single[waypoint] = right
 
     n = len(ring)
     position = {tok: idx + 1 for idx, tok in enumerate(ring)}  # 1-based
@@ -145,26 +167,33 @@ def boost(r: CrossingRouting) -> BoostedInstance:
     components: list[Component] = []
     for i in range(1, m + 1):
         pa, pb = position[("o", i)], position[("o", i + m)]
-        assert pa < pb
+        if pa >= pb:
+            raise GuaranteeViolated(f"crossing demand {i} runs from node {pa} back to {pb}")
         demands.append((pa, pb, r.u[i - 1] + r.v[i - 1]))
         components.append(CrossingComponent(i, (r.u[i - 1], r.v[i - 1])))
     for a, b, value, capped in shorts:
-        assert 0 < value <= big, "short value must end up in (0, D]"
+        if not 0 < value <= big:
+            raise GuaranteeViolated(
+                f"short value {Fraction(value, denom)} outside (0, {r.max_demand}]"
+            )
         home = arc_edges(a, b)
         # only capping ever widens an arc: everything else stays on the
         # single edge it was created on
-        assert len(home) >= 2 if capped else len(home) == 1
+        fits = len(home) >= 2 if capped else len(home) == 1
+        if not fits:
+            raise GuaranteeViolated(f"short (capped={capped}) has home edges {home}")
         i, j = sorted((position[a], position[b]))
-        demands.append((i, j, value))
+        demands.append((i, j, Fraction(value, denom)))
         components.append(ShortComponent(home, capped))
 
     instance = RingInstance(n, tuple(demands))
-    boosted = BoostedInstance(instance, r, tuple(components), top, dropped)
+    equalized = Fraction(top, denom)
+    boosted = BoostedInstance(instance, r, tuple(components), equalized, dropped)
 
     # routing everything canonically must load every edge to exactly the
     # source's maximum split load
-    canonical = boosted.canonical_routing()
-    assert all(x == top for x in canonical.loads()), "boost failed to equalize"
+    if any(x != equalized for x in boosted.canonical_loads):
+        raise GuaranteeViolated(f"boost failed to equalize at {equalized}")
     return boosted
 
 

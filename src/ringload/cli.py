@@ -155,7 +155,7 @@ def dump_boosted(b: BoostedInstance) -> str:
         f"# zero-valued fillers dropped: {b.dropped_zero_shorts}",
         f"ring {b.instance.n}",
     ]
-    canonical = b.canonical_routing().clockwise
+    canonical = b.canonical_routing.clockwise
     for (i, j, value), component, cw in zip(b.instance.demands, b.components, canonical):
         if component.kind == "crossing":
             role = f"demand {component.source_index} of the source"

@@ -9,10 +9,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import accumulate
+from math import lcm
 from typing import NamedTuple
 
 from .core import CrossingRouting, Pattern, RingInstance, split_loads
-from .core import ccw_edges, cw_edges, scaled_arc_loads
+from .core import integer_arc_loads
 from .errors import GuaranteeViolated, NotEqualized, TooLarge
 from .reduce import GeneralSplitRouting
 
@@ -84,56 +85,83 @@ def _enumerate_unsplittable(
     """Minimize the maximum edge load over all one-sided routings of the
     ``free`` demands, keeping the rest as given in ``base_cw``.
 
-    Walks masks in Gray-code order with incremental load updates; since
-    that visit order is not monotone in the mask, the minimum keeps an
-    explicit (value, mask) pair so the lowest qualifying mask wins.
+    Depth-first branch-and-bound on integers over one common denominator.
+    The fixed demands load the ring first; then free position k-1 is
+    placed first, counter-clockwise (bit clear) before clockwise, so
+    leaves arrive in ascending mask order and the first optimum reached
+    is the lowest mask.  Placing a demand only adds load, so a child whose
+    partial peak reaches the incumbent is pruned.
     """
     k = len(free)
     if k > cap:
         raise TooLarge(f"2^{k} routings exceeds the enumeration cap 2^{cap}")
     n = instance.n
     demands = instance.demands
-    # mask-0 state: the free demands all counter-clockwise, the rest as given
     free_set = set(free)
-    denom, loads = scaled_arc_loads(n, (
-        (i, j, Fraction(0), value) if t in free_set else (i, j, base_cw[t], value - base_cw[t])
-        for t, (i, j, value) in enumerate(demands)
-    ))
-    scaled_val = [int(demands[t][2] * denom) for t in free]
-    # 0-based edge indices of each free demand's two arcs
-    free_paths = [
-        (sorted(e - 1 for e in cw_edges(i, j)), sorted(e - 1 for e in ccw_edges(n, i, j)))
-        for i, j, _ in (demands[t] for t in free)
-    ]
-    best_val = max(loads)
+    fixed = [t for t in range(len(demands)) if t not in free_set]
+    denom = lcm(
+        *(value.denominator for _, _, value in demands),
+        *(base_cw[t].denominator for t in fixed),
+    )
+
+    def scale(x: Fraction) -> int:
+        return x.numerator * (denom // x.denominator)
+
+    fixed_arcs = []
+    for t in fixed:
+        i, j, value = demands[t]
+        cw = scale(base_cw[t])
+        fixed_arcs.append((i, j, cw, scale(value) - cw))
+    loads = integer_arc_loads(n, fixed_arcs)
+    best = max(loads)
     best_mask = 0
-    gray_prev = 0
-    for counter in range(1, 1 << k):
-        gray = counter ^ (counter >> 1)
-        bit = (gray ^ gray_prev).bit_length() - 1
-        gray_prev = gray
-        value = scaled_val[bit]
-        cw_path, ccw_path = free_paths[bit]
-        if gray >> bit & 1:  # flipped onto the clockwise path
-            for e in cw_path:
-                loads[e] += value
-            for e in ccw_path:
-                loads[e] -= value
-        else:
-            for e in cw_path:
-                loads[e] -= value
-            for e in ccw_path:
-                loads[e] += value
-        val = max(loads)
-        if val < best_val or (val == best_val and gray < best_mask):
-            best_val = val
-            best_mask = gray
+    if k:
+        # the endpoints of the free demands cut the ring into runs of
+        # edges that every routing loads alike, so a run counts only by
+        # its peak fixed load; run r starts at 0-based edge cuts[r] and
+        # the last run wraps past edge n
+        cuts = sorted({node - 1 for t in free for node in demands[t][:2]})
+        run_of = {edge: r for r, edge in enumerate(cuts)}
+        peaks = [max(loads[lo:hi]) for lo, hi in zip(cuts, cuts[1:])]
+        peaks.append(max(loads[cuts[-1]:] + loads[:cuts[0]]))
+        run_count = len(cuts)
+        # per free position: scaled value, then its counter-clockwise and
+        # clockwise arcs as spans [lo, hi) of runs
+        placements = []
+        for t in free:
+            i, j, value = demands[t]
+            lo, hi = run_of[i - 1], run_of[j - 1]
+            ccw = ((hi, run_count), (0, lo)) if lo else ((hi, run_count),)
+            placements.append((scale(value), ccw, ((lo, hi),)))
+
+        def descend(pos: int, peak: int, mask: int) -> None:
+            nonlocal best, best_mask
+            pos -= 1
+            value, ccw, cw = placements[pos]
+            for spans, choice in ((ccw, mask), (cw, mask | 1 << pos)):
+                saved = [peaks[lo:hi] for lo, hi in spans]
+                top = value + max(map(max, saved))
+                if top < peak:
+                    top = peak
+                if top >= best:
+                    continue
+                if not pos:
+                    best, best_mask = top, choice
+                    continue
+                for (lo, hi), span in zip(spans, saved):
+                    peaks[lo:hi] = [x + value for x in span]
+                descend(pos, top, choice)
+                for (lo, hi), span in zip(spans, saved):
+                    peaks[lo:hi] = span
+
+        best += sum(value for value, _, _ in placements) + 1  # above every bound
+        descend(k, max(peaks), 0)
     cw_out = list(base_cw)
     for pos, t in enumerate(free):
         value = instance.demands[t][2]
         cw_out[t] = value if best_mask >> pos & 1 else Fraction(0)
     witness = GeneralSplitRouting(instance, tuple(cw_out))
-    result = Fraction(best_val, denom)
+    result = Fraction(best, denom)
     if witness.loads().max_load != result:
         raise GuaranteeViolated(
             f"witness routing loads {witness.loads().max_load}, not the optimum {result}"
@@ -142,9 +170,9 @@ def _enumerate_unsplittable(
 
 
 def optimal_unsplittable(instance: RingInstance, demand_cap: int = DEFAULT_CAP) -> UnsplittableOptimum:
-    """Exact unsplittable optimum of a general ring instance by complete
-    enumeration over the demands with positive value (zero-value demands
-    are reported counter-clockwise in the witness)."""
+    """Exact unsplittable optimum of a general ring instance, searched
+    over the directions of the demands with positive value (zero-value
+    demands are reported counter-clockwise in the witness)."""
     free = [t for t, (_, _, d) in enumerate(instance.demands) if d > 0]
     base = [Fraction(0)] * len(instance.demands)
     return _enumerate_unsplittable(instance, base, free, demand_cap)
@@ -153,22 +181,22 @@ def optimal_unsplittable(instance: RingInstance, demand_cap: int = DEFAULT_CAP) 
 def optimal_unsplittable_boosted(boosted, cap: int = DEFAULT_CAP) -> UnsplittableOptimum:
     """Unsplittable optimum of a boosted instance with every short demand
     pinned to its home path; only the 2^m crossing reroutings are
-    enumerated."""
-    canonical = boosted.canonical_routing()
+    searched."""
+    canonical = boosted.canonical_routing
     free = [t for t, component in enumerate(boosted.components) if component.kind == "crossing"]
     return _enumerate_unsplittable(canonical.instance, list(canonical.clockwise), free, cap)
 
 
 def split_optimum_crossing(r: CrossingRouting) -> Fraction:
     """Split optimum of the demand values of a crossing routing: half the
-    total demand, realized by the even split (all loads equal, asserted)."""
-    total = sum(r.demand_values, Fraction(0))
+    total demand, realized by the even split (all loads equal, checked)."""
+    half = sum(r.demand_values, Fraction(0)) / 2
     even = CrossingRouting(
         tuple(d / 2 for d in r.demand_values), tuple(d / 2 for d in r.demand_values)
     )
-    profile = split_loads(even)
-    assert all(x == total / 2 for x in profile), "even split is not balanced"
-    return total / 2
+    if any(x != half for x in split_loads(even)):
+        raise GuaranteeViolated(f"even split is not balanced at {half}")
+    return half
 
 
 def split_optimum_boosted(boosted) -> Fraction:
@@ -176,7 +204,7 @@ def split_optimum_boosted(boosted) -> Fraction:
     configuration: source splits on the crossing demands, home paths for
     the shorts.  All edge loads must agree, otherwise the instance is not
     properly equalized."""
-    profile = boosted.canonical_routing().loads()
+    profile = boosted.canonical_loads
     first = profile.loads[0]
     if any(x != first for x in profile):
         raise NotEqualized(

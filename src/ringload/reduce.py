@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from .core import CrossingRouting, DeltaClass, LoadProfile, RingInstance, to_rational
+from .core import CrossingRouting, LoadProfile, RingInstance, to_rational
 from .core import arc_loads, ccw_edges, cw_edges, integer_arc_loads, scaled_arc_loads
 from .errors import GuaranteeViolated, MalformedRouting
 
@@ -298,9 +298,3 @@ def to_crossing_form(s: GeneralSplitRouting) -> ReductionResult:
     routing = CrossingRouting(u, v)
     trace = ReductionTrace(base, steps, keys, tuple(fixed), tuple(images), tuple(kept))
     return ReductionResult(routing, trace)
-
-
-def classify_delta(r: CrossingRouting) -> DeltaClass:
-    """Spread classification of the reduced routing (see
-    CrossingRouting.classify_delta)."""
-    return r.classify_delta()

@@ -16,14 +16,18 @@ from hypothesis import strategies as st
 from ringload import (
     CCW,
     CW,
+    BoostedInstance,
+    CrossingComponent,
     CrossingRouting,
     GeneralSplitRouting,
     MalformedRouting,
     Pattern,
     RingInstance,
+    ShortComponent,
     UncrossStep,
     demands_cross,
     pattern_delta,
+    split_loads,
 )
 from ringload.core import ccw_edges, cw_edges, scaled_arc_loads
 
@@ -154,6 +158,115 @@ def naive_unsplittable_optimum(instance: RingInstance):
             best = load
             best_cw = tuple(cw)
     return best, best_cw
+
+
+def gray_code_unsplittable(instance: RingInstance, base_cw, free) -> tuple[Fraction, tuple]:
+    """Reference for ``exact._enumerate_unsplittable``: (value, clockwise
+    tuple) by a Gray-code walk over all 2^k masks of the ``free`` demands
+    with incremental load updates and a full ``max`` at every mask; the
+    rest stay as given in ``base_cw``.  Ties keep the lowest mask."""
+    k = len(free)
+    n = instance.n
+    demands = instance.demands
+    free_set = set(free)
+    denom, loads = scaled_arc_loads(n, (
+        (i, j, Fraction(0), value) if t in free_set else (i, j, base_cw[t], value - base_cw[t])
+        for t, (i, j, value) in enumerate(demands)
+    ))
+    scaled_val = [int(demands[t][2] * denom) for t in free]
+    free_paths = [
+        (sorted(e - 1 for e in cw_edges(i, j)), sorted(e - 1 for e in ccw_edges(n, i, j)))
+        for i, j, _ in (demands[t] for t in free)
+    ]
+    best_val = max(loads)
+    best_mask = 0
+    gray_prev = 0
+    for counter in range(1, 1 << k):
+        gray = counter ^ (counter >> 1)
+        bit = (gray ^ gray_prev).bit_length() - 1
+        gray_prev = gray
+        value = scaled_val[bit]
+        cw_path, ccw_path = free_paths[bit]
+        if gray >> bit & 1:  # flipped onto the clockwise path
+            for e in cw_path:
+                loads[e] += value
+            for e in ccw_path:
+                loads[e] -= value
+        else:
+            for e in cw_path:
+                loads[e] -= value
+            for e in ccw_path:
+                loads[e] += value
+        val = max(loads)
+        if val < best_val or (val == best_val and gray < best_mask):
+            best_val = val
+            best_mask = gray
+    cw_out = list(base_cw)
+    for pos, t in enumerate(free):
+        cw_out[t] = demands[t][2] if best_mask >> pos & 1 else Fraction(0)
+    return Fraction(best_val, denom), tuple(cw_out)
+
+
+def rescanning_boost(r: CrossingRouting) -> BoostedInstance:
+    """Reference for ``boost``: the same construction, capping the
+    oversized single-edge filler with the lowest ring position after
+    rebuilding the position map and rescanning every filler on each
+    cap."""
+    m = r.m
+    big = r.max_demand
+    profile = split_loads(r)
+    top = profile.max_load
+    ring = []
+    for k in range(1, 2 * m + 1):
+        ring.append(("o", k))
+        ring.append(("h", k))
+    shorts = []
+    dropped = 0
+    for k in range(1, 2 * m + 1):
+        gap = top - profile.loads[k - 1]
+        if gap == 0:
+            dropped += 1
+            continue
+        succ = ("o", k + 1) if k < 2 * m else ("o", 1)
+        shorts.append([("o", k), ("h", k), gap, False])
+        shorts.append([("h", k), succ, gap, False])
+    fresh = 0
+    while True:
+        position = {tok: idx for idx, tok in enumerate(ring)}
+
+        def arc_len(rec):
+            a, b = position[rec[0]], position[rec[1]]
+            return b - a if b > a else len(ring) - a
+
+        oversized = [rec for rec in shorts if rec[2] > big and arc_len(rec) == 1]
+        if not oversized:
+            break
+        rec = min(oversized, key=lambda rec: position[rec[0]])
+        a, b, value, _ = rec
+        fresh += 1
+        waypoint = ("x", fresh)
+        ring.insert(position[a] + 1, waypoint)
+        rec[2] = big
+        rec[3] = True
+        shorts.append([a, waypoint, value - big, False])
+        shorts.append([waypoint, b, value - big, False])
+    n = len(ring)
+    position = {tok: idx + 1 for idx, tok in enumerate(ring)}
+    demands = []
+    components = []
+    for i in range(1, m + 1):
+        pa, pb = position[("o", i)], position[("o", i + m)]
+        assert pa < pb
+        demands.append((pa, pb, r.u[i - 1] + r.v[i - 1]))
+        components.append(CrossingComponent(i, (r.u[i - 1], r.v[i - 1])))
+    for a, b, value, capped in shorts:
+        assert 0 < value <= big
+        pa, pb = position[a], position[b]
+        home = tuple(range(pa, pb)) if pb > pa else tuple(range(pa, n + 1))
+        assert len(home) >= 2 if capped else len(home) == 1
+        demands.append((min(pa, pb), max(pa, pb), value))
+        components.append(ShortComponent(home, capped))
+    return BoostedInstance(RingInstance(n, tuple(demands)), r, tuple(components), top, dropped)
 
 
 def general_edge_load(g: GeneralSplitRouting, k: int) -> Fraction:
@@ -305,6 +418,23 @@ def random_crossing(rng: Random, max_m: int = 16, max_den: int = 12) -> Crossing
         u.append(Fraction(rng.randint(1, 3 * max_den), rng.randint(1, max_den)))
         v.append(Fraction(rng.randint(1, 3 * max_den), rng.randint(1, max_den)))
     return CrossingRouting(tuple(u), tuple(v))
+
+
+def tie_heavy(m: int, seed: int) -> CrossingRouting:
+    """Parts in 1..3: many masks share an optimum, so witness rules show."""
+    rng = Random(seed)
+    return CrossingRouting(
+        tuple(rng.randint(1, 3) for _ in range(m)), tuple(rng.randint(1, 3) for _ in range(m))
+    )
+
+
+def lopsided(m: int, seed: int) -> CrossingRouting:
+    """One heavy side per demand: split-load gaps well above D, so boost
+    fillers get capped again and again."""
+    rng = Random(seed)
+    return CrossingRouting(
+        tuple(rng.randint(5, 15) for _ in range(m)), tuple(rng.randint(1, 2) for _ in range(m))
+    )
 
 
 def random_pattern(rng: Random, r: CrossingRouting) -> Pattern:

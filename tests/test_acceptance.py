@@ -11,7 +11,6 @@ from ringload import (
     RoundingMethod,
     boost,
     build_milp,
-    classify_delta,
     closeness,
     crossover,
     max_feasible_performance,
@@ -102,7 +101,7 @@ def test_criterion_5_main_bound_property(record_criterion):
     ):
         for r in bound_corpus():
             big = r.max_demand
-            delta = classify_delta(r).value
+            delta = r.classify_delta().value
             out = round_main(r)
             if delta >= Fraction(2, 5):
                 expected = Fraction(3, 2) - delta / 2

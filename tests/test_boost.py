@@ -1,5 +1,6 @@
 """Load-equalizing boost transform: structure, equalization, gap bound."""
 
+import importlib
 from fractions import Fraction
 
 import pytest
@@ -9,6 +10,8 @@ from ringload import (
     BoostedInstance,
     BoundViolated,
     CrossingRouting,
+    GuaranteeViolated,
+    ShortComponent,
     TooLarge,
     boost,
     min_additive_performance,
@@ -23,7 +26,7 @@ from ringload import (
     tight_even,
     verify_boost,
 )
-from support import crossing_routings
+from support import crossing_routings, lopsided, rescanning_boost, tie_heavy
 
 
 def test_boost_golden_eight_demand_probe():
@@ -139,3 +142,53 @@ def test_verify_boost_failure_path():
 def test_verify_boost_cap_passthrough():
     with pytest.raises(TooLarge):
         verify_boost(boost(tight3()), cap=2)
+
+
+@pytest.mark.parametrize(
+    "r",
+    [pytest.param(lopsided(m, seed), id=f"m{m}-seed{seed}")
+     for m in (3, 5, 8) for seed in range(3)]
+    + [pytest.param(CrossingRouting((10, 10, 10), (1, 1, 1)), id="ten-one")],
+)
+def test_capping_matches_rescanning_reference(r):
+    b = boost(r)
+    assert any(c.kind == "short" and c.capped for c in b.components)
+    reference = rescanning_boost(r)
+    assert b == reference
+    assert b.components == reference.components
+
+
+@pytest.mark.parametrize(
+    "r",
+    [pytest.param(tie_heavy(m, 100 + m), id=f"tie-m{m}") for m in range(8, 13)]
+    + [pytest.param(lopsided(m, 200 + m), id=f"lopsided-m{m}") for m in range(8, 13)],
+)
+def test_verify_boost_beyond_m7(r):
+    b = boost(r)
+    report = verify_boost(b)
+    assert report.gap >= report.source_performance
+    assert report.split_optimum == b.equalized_load
+
+
+def test_boost_guarantees_are_checked_not_asserted(monkeypatch):
+    # broken guarantees raise explicitly, so they also hold under `python -O`
+    b = boost(tight3())
+    t, short = next((t, c) for t, c in enumerate(b.components) if c.kind == "short")
+    i, j, _ = b.instance.demands[t]
+    # one edge past the demand's own arc: neither of its two arcs
+    components = list(b.components)
+    components[t] = ShortComponent(tuple(range(i, j + 1)), short.capped)
+    broken = BoostedInstance(
+        b.instance, b.source, tuple(components), b.equalized_load, b.dropped_zero_shorts
+    )
+    with pytest.raises(GuaranteeViolated):
+        split_optimum_boosted(broken)
+    # every demand counter-clockwise cannot equalize the loads
+    module = importlib.import_module("ringload.boost")
+    routing = module.GeneralSplitRouting
+    monkeypatch.setattr(
+        module, "GeneralSplitRouting",
+        lambda inst, cw: routing(inst, (Fraction(0),) * len(cw)),
+    )
+    with pytest.raises(GuaranteeViolated):
+        boost(tight3())

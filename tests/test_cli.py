@@ -233,8 +233,10 @@ def test_usage_errors_exit_2(capsys):
         "ring 8\ndemand 1 5 2 1\ndemand 2 6 2 1\ndemand 3 4 1 0\n",
         # two uncrossing exchanges, then m = 2
         "ring 8\ndemand 1 2 4 2\ndemand 1 5 4 3\ndemand 1 8 4 2\ndemand 4 7 4 3\n",
+        # split-load gaps up to 27 > D = 11: boost caps fillers repeatedly
+        "split 3\npair 10 1\npair 10 1\npair 10 1\n",
     ],
-    ids=["split", "ring", "uncrossing"],
+    ids=["split", "ring", "uncrossing", "capping"],
 )
 def test_optimized_interpreter_gives_the_same_output(tmp_path, text):
     # `python -O` strips every assert: the library must still compute

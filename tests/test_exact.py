@@ -10,7 +10,9 @@ from hypothesis import strategies as st
 from ringload import (
     BoostedInstance,
     CrossingRouting,
+    GeneralSplitRouting,
     GuaranteeViolated,
+    LoadProfile,
     NotEqualized,
     RingInstance,
     ShortComponent,
@@ -35,9 +37,13 @@ from ringload import exact
 from support import (
     crossing_routings,
     general_routings,
+    gray_code_unsplittable,
     naive_min_performance,
     naive_performance,
     naive_unsplittable_optimum,
+    random_general,
+    rescanning_boost,
+    tie_heavy,
 )
 
 
@@ -54,22 +60,18 @@ def test_min_performance_matches_naive(r):
     assert naive_performance(r, naive_mask) == naive_value
 
 
-def _tie_heavy(m: int, seed: int) -> CrossingRouting:
-    # parts in 1..3: many masks share the optimum, so the witness rule shows
-    rng = Random(seed)
-    return CrossingRouting(
-        tuple(rng.randint(1, 3) for _ in range(m)), tuple(rng.randint(1, 3) for _ in range(m))
-    )
-
-
-@pytest.mark.parametrize(
-    "r",
-    [pytest.param(_tie_heavy(m, seed), id=f"m{m}-seed{seed}")
+# tie-heavy routings (many optimal masks, so witness rules show) and the
+# pinned probes
+BEYOND_M7 = (
+    [pytest.param(tie_heavy(m, seed), id=f"m{m}-seed{seed}")
      for m in range(8, 13) for seed in range(3)]
     + [pytest.param(skutella8(0), id="skutella8"),
        pytest.param(seven18(), id="seven18"),
-       pytest.param(tight_even(8), id="tight_even8")],
+       pytest.param(tight_even(8), id="tight_even8")]
 )
+
+
+@pytest.mark.parametrize("r", BEYOND_M7)
 def test_min_performance_witness_beyond_m7(r):
     value, witness = min_additive_performance(r)
     assert (value, witness.choices) == naive_min_performance(r)
@@ -108,6 +110,43 @@ def test_oracle_witnesses_are_rechecked(monkeypatch):
     )
     with pytest.raises(GuaranteeViolated):
         optimal_unsplittable(RingInstance(4, ((1, 2, Fraction(1)), (1, 3, Fraction(2)))))
+
+
+@pytest.mark.parametrize("r", BEYOND_M7)
+def test_boosted_optimum_matches_gray_code(r):
+    b = boost(r)
+    reference = rescanning_boost(r)
+    assert b == reference
+    assert b.components == reference.components
+    value, witness = optimal_unsplittable_boosted(b)
+    free = [t for t, c in enumerate(b.components) if c.kind == "crossing"]
+    base = list(b.canonical_routing.clockwise)
+    assert (value, witness.clockwise) == gray_code_unsplittable(b.instance, base, free)
+
+
+def _general_cases():
+    rng = Random(11)
+    cases = [random_general(rng, max_split=6, max_unsplit=8) for _ in range(12)]
+    # all demands zero: nothing to enumerate (k = 0)
+    zero = RingInstance(6, ((1, 3, Fraction(0)), (2, 5, Fraction(0)), (4, 6, Fraction(0))))
+    return cases + [GeneralSplitRouting(zero, (Fraction(0),) * 3)]
+
+
+@pytest.mark.parametrize("g", _general_cases())
+def test_unsplittable_optimum_matches_gray_code(g):
+    instance = g.instance
+    value, witness = optimal_unsplittable(instance)
+    positive = [t for t, (_, _, d) in enumerate(instance.demands) if d > 0]
+    base = [Fraction(0)] * len(instance.demands)
+    assert (value, witness.clockwise) == gray_code_unsplittable(instance, base, positive)
+    # every other demand free and the rest kept at their given split, so
+    # loaded edges can lie before the first free endpoint (the wrapping run)
+    free = positive[1::2]
+    value, witness = exact._enumerate_unsplittable(
+        instance, list(g.clockwise), free, exact.DEFAULT_CAP
+    )
+    expected = gray_code_unsplittable(instance, list(g.clockwise), free)
+    assert (value, witness.clockwise) == expected
 
 
 @settings(max_examples=60)
@@ -156,6 +195,17 @@ def test_split_optimum_crossing():
 @given(crossing_routings())
 def test_split_optimum_is_half_total(r):
     assert split_optimum_crossing(r) == sum(r.demand_values) / 2
+
+
+def test_split_optimum_crossing_balance_is_checked(monkeypatch):
+    # an unbalanced even split is a broken guarantee, raised explicitly
+    # so that it also holds under `python -O`
+    monkeypatch.setattr(
+        exact, "split_loads",
+        lambda r: LoadProfile((Fraction(1),) * (2 * r.m - 1) + (Fraction(2),)),
+    )
+    with pytest.raises(GuaranteeViolated):
+        split_optimum_crossing(tight3())
 
 
 def test_split_optimum_boosted():

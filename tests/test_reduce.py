@@ -17,7 +17,6 @@ from ringload import (
     demands_cross,
     seven18,
     split_loads,
-    classify_delta,
     to_crossing_form,
     uncross_parallel,
 )
@@ -150,7 +149,7 @@ def test_crossing_form_round_trips(r):
     assert trace.kept_nodes == tuple(range(1, 2 * r.m + 1))
     assert trace.edge_images == tuple(range(1, 2 * r.m + 1))
     assert trace.fixed_directions == (None,) * r.m
-    assert classify_delta(result.routing) == r.classify_delta()
+    assert result.routing.classify_delta() == r.classify_delta()
 
 
 def test_trivial_reduction():
