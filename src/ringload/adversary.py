@@ -13,9 +13,10 @@ for round-trip checks.  A direct-arithmetic evaluator substitutes a
 concrete routing into a model and returns the largest feasible
 objective, which must agree between the reduced and unreduced variants.
 
-The heuristic search walks a rational grid with first-improvement
+The heuristic search walks an integer grid with first-improvement
 coordinate steps, projecting the partner direction down when a step
-would overfill a demand, under a deterministic per-restart RNG.
+would overfill a demand, under a deterministic per-restart RNG; its
+result is re-certified by the exact oracle.
 """
 
 from __future__ import annotations
@@ -28,8 +29,8 @@ from random import Random
 from typing import NamedTuple
 
 from .core import CrossingRouting, Pattern, to_rational
-from .errors import ParameterOutOfRange, ParseError
-from .exact import min_additive_performance
+from .errors import GuaranteeViolated, ParameterOutOfRange, ParseError
+from .exact import _lowest_performance, min_additive_performance
 
 CONTINUOUS = "continuous"
 BINARY = "binary"
@@ -413,8 +414,10 @@ def max_feasible_performance(model: MilpModel, r: CrossingRouting) -> Fraction:
         keep_min, keep_max = kept_selectors(model.m, z, model.reduce_vars)
         min_at = [i for i in keep_min if prefix[i] == lo]
         max_at = [i for i in keep_max if prefix[i] == hi]
-        assert min_at, "reduction lost every argmin selector"
-        assert max_at, "reduction lost every argmax selector"
+        if not min_at:
+            raise GuaranteeViolated(f"reduction lost every argmin selector of mask {h}")
+        if not max_at:
+            raise GuaranteeViolated(f"reduction lost every argmax selector of mask {h}")
         for i in keep_min:
             values[f"wmin_{h}_{i}"] = scale if i == min_at[0] else 0
         for i in keep_max:
@@ -449,16 +452,29 @@ class SearchResult(NamedTuple):
     value: Fraction  # minimum additive performance over D
 
 
-def _grid_value(grid: tuple[int, ...], m: int, den: int) -> Fraction:
-    u = tuple(Fraction(g, den) for g in grid[:m])
-    v = tuple(Fraction(g, den) for g in grid[m:])
-    routing = CrossingRouting(u, v)
-    return min_additive_performance(routing).value / routing.max_demand
+def _mask_performance(steps_down, steps_up, mask: int) -> int:
+    """Performance of one rerouting mask, from its integer walk."""
+    pos = lo = hi = 0
+    for k, (down, up) in enumerate(zip(steps_down, steps_up)):
+        if mask >> k & 1:
+            pos += up
+            hi = max(hi, pos)
+        else:
+            pos -= down
+            lo = min(lo, pos)
+    return max(2 * hi - pos, pos - 2 * lo)
 
 
 def _ascend(task) -> tuple[Fraction, int, tuple[int, ...]]:
     """One restart: sample (or take) a grid point and climb to a local
-    maximum with first-improvement coordinate steps."""
+    maximum with first-improvement coordinate steps.
+
+    Performance over D does not depend on units, so the grid entries are
+    the walk steps and the current value is kept as the integers p / q.
+    A candidate with largest demand Dc improves exactly when its minimum
+    performance exceeds T = p * Dc // q; a threshold search that stops at
+    the first mask performing at most T rejects most candidates early.
+    """
     m, den, seed, index, fixed_start = task
     if fixed_start is not None:
         grid = list(fixed_start)
@@ -469,7 +485,8 @@ def _ascend(task) -> tuple[Fraction, int, tuple[int, ...]]:
             grid.append(rng.randint(1, den - 1))
         for i in range(m):
             grid.append(rng.randint(1, den - grid[i]))
-    value = _grid_value(tuple(grid), m, den)
+    p, _ = _lowest_performance(grid[:m], grid[m:])
+    q = max(a + b for a, b in zip(grid[:m], grid[m:]))
     improved = True
     while improved:
         improved = False
@@ -484,15 +501,26 @@ def _ascend(task) -> tuple[Fraction, int, tuple[int, ...]]:
                 if grid[c] + grid[partner] > den:
                     # project the partner down instead of rejecting
                     grid[partner] = den - grid[c]
-                cand_value = _grid_value(tuple(grid), m, den)
-                if cand_value > value:
-                    value = cand_value
+                down, up = grid[:m], grid[m:]
+                big = max(a + b for a, b in zip(down, up))
+                limit = p * big // q + 1
+                hit = _lowest_performance(down, up, limit, first=True)
+                if hit is None:
+                    p, _ = _lowest_performance(down, up)
+                    q = big
                     improved = True
                     break
+                perf, mask = hit
+                walked = _mask_performance(down, up, mask)
+                if walked != perf or walked >= limit:
+                    raise GuaranteeViolated(
+                        f"threshold search reported mask {mask:#x} at {perf} below {limit}, "
+                        f"but its walk performs {walked}"
+                    )
                 grid[c], grid[partner] = old_c, old_p
             if improved:
                 break
-    return value, index, tuple(grid)
+    return Fraction(p, q), index, tuple(grid)
 
 
 def heuristic_search(
@@ -551,9 +579,13 @@ def heuristic_search(
         tuple(Fraction(g, denominator) for g in grid[:m]),
         tuple(Fraction(g, denominator) for g in grid[m:]),
     )
+    certified = min_additive_performance(routing).value / routing.max_demand
+    if certified != value:
+        raise GuaranteeViolated(f"search reports {value}, its routing's optimum is {certified}")
     if start is not None:
         seeded = min_additive_performance(start).value / start.max_demand
-        assert value >= seeded, "search must never fall below its seed"
+        if value < seeded:
+            raise GuaranteeViolated(f"search fell to {value}, below its seed's {seeded}")
     return SearchResult(routing, value)
 
 

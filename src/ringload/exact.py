@@ -7,6 +7,7 @@ qualifying choice mask, which makes every oracle deterministic.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from fractions import Fraction
 from itertools import accumulate
 from math import lcm
@@ -25,31 +26,35 @@ class PerformanceOptimum(NamedTuple):
     pattern: Pattern
 
 
-def min_additive_performance(r: CrossingRouting, cap: int = DEFAULT_CAP) -> PerformanceOptimum:
-    """Smallest additive performance over all 2^m complete reroutings of
-    a crossing routing, with a witness pattern anchored at 0.
+def _lowest_performance(
+    steps_down: Sequence[int], steps_up: Sequence[int], limit: int | None = None, first=False
+) -> tuple[int, int] | None:
+    """``(performance, mask)``: the smallest performance below ``limit``
+    (default: above every bound) of the integer walk that steps down by
+    ``steps_down[k]`` where bit k is clear and up by ``steps_up[k]`` where
+    it is set, at its lowest mask; None if no mask performs below
+    ``limit``.  With ``first``, the search stops at the lowest mask that
+    performs below ``limit``.
 
-    Depth-first branch-and-bound over the integer walk read backward from
-    its end, which sits at 0: bit m-1 is fixed first and "down" (bit
-    clear) is tried before "up", so leaves arrive in ascending mask order
-    and the first optimum reached is the lowest mask.  A prefix is pruned
-    once a lower bound on every completion reaches the incumbent.
+    Depth-first branch-and-bound over the walk read backward from its
+    end, which sits at 0: bit m-1 is fixed first and "down" is tried
+    before "up", so leaves arrive in ascending mask order and the first
+    optimum reached is the lowest mask.  A prefix is pruned once a lower
+    bound on every completion reaches the incumbent, which starts at
+    ``limit``.
     """
-    m = r.m
-    if m > cap:
-        raise TooLarge(f"2^{m} reroutings exceeds the enumeration cap 2^{cap}")
-    denom, steps_down, steps_up = r.scaled
+    m = len(steps_down)
     # with bits 0..k-1 open at position p, the start lies in
     # [p - up_sum[k], p + down_sum[k]]
     down_sum = tuple(accumulate(steps_down, initial=0))
     up_sum = tuple(accumulate(steps_up, initial=0))
-    best = 2 * (down_sum[m] + up_sum[m]) + 1  # above every bound
-    best_mask = 0
+    best = 2 * (down_sum[m] + up_sum[m]) + 1 if limit is None else limit
+    found = None
 
     def descend(k: int, p: int, lo: int, hi: int, mask: int) -> None:
         # performance is max(2b - x, x - 2a) for strip [a, b] and start x;
         # at a leaf (k = 0) the bound below is exactly that
-        nonlocal best, best_mask
+        nonlocal best, found
         k -= 1
         for q, choice in ((p + steps_down[k], mask), (p - steps_up[k], mask | 1 << k)):
             q_lo = q if q < lo else lo
@@ -59,9 +64,25 @@ def min_additive_performance(r: CrossingRouting, cap: int = DEFAULT_CAP) -> Perf
                 if k:
                     descend(k, q, q_lo, q_hi, choice)
                 else:
-                    best, best_mask = bound, choice
+                    found = bound, choice
+                    # no bound is negative, so an incumbent of 0 prunes
+                    # every branch left open
+                    best = 0 if first else bound
 
     descend(m, 0, 0, 0, 0)
+    return found
+
+
+def min_additive_performance(r: CrossingRouting, cap: int = DEFAULT_CAP) -> PerformanceOptimum:
+    """Smallest additive performance over all 2^m complete reroutings of
+    a crossing routing, with the lowest optimal mask as witness pattern
+    anchored at 0, found by branch-and-bound on the integer walk of
+    ``r.scaled``."""
+    m = r.m
+    if m > cap:
+        raise TooLarge(f"2^{m} reroutings exceeds the enumeration cap 2^{cap}")
+    denom, steps_down, steps_up = r.scaled
+    best, best_mask = _lowest_performance(steps_down, steps_up)
     value = Fraction(best, denom)
     witness = Pattern(r, best_mask, Fraction(0))
     if witness.performance != value:

@@ -26,6 +26,7 @@ from ringload import (
     ShortComponent,
     UncrossStep,
     demands_cross,
+    min_additive_performance,
     pattern_delta,
     split_loads,
 )
@@ -353,6 +354,53 @@ def naive_uncross(s: GeneralSplitRouting):
         ), "uncrossing raised a load"
         denom, before = new_denom, after
     return GeneralSplitRouting(instance, tuple(cw)), tuple(steps)
+
+
+def fraction_ascend(task) -> tuple[Fraction, int, tuple[int, ...]]:
+    """One restart of the heuristic search as a rational ascent: every
+    candidate grid point becomes a ``CrossingRouting`` of ``Fraction``s
+    and is valued by the full oracle over its largest demand.  Same task
+    tuple and result as ``ringload.adversary._ascend``."""
+    m, den, seed, index, fixed_start = task
+
+    def grid_value(grid):
+        routing = CrossingRouting(
+            tuple(Fraction(g, den) for g in grid[:m]), tuple(Fraction(g, den) for g in grid[m:])
+        )
+        return min_additive_performance(routing).value / routing.max_demand
+
+    if fixed_start is not None:
+        grid = list(fixed_start)
+    else:
+        rng = Random(f"{seed}:{index}")
+        grid = []
+        for _ in range(m):
+            grid.append(rng.randint(1, den - 1))
+        for i in range(m):
+            grid.append(rng.randint(1, den - grid[i]))
+    value = grid_value(grid)
+    improved = True
+    while improved:
+        improved = False
+        for c in range(2 * m):
+            partner = c + m if c < m else c - m
+            for step in (1, -1):
+                cand = grid[c] + step
+                if not 1 <= cand <= den - 1:
+                    continue
+                old_c, old_p = grid[c], grid[partner]
+                grid[c] = cand
+                if grid[c] + grid[partner] > den:
+                    grid[partner] = den - grid[c]
+                cand_value = grid_value(grid)
+                if cand_value > value:
+                    value = cand_value
+                    improved = True
+                    break
+                grid[c], grid[partner] = old_c, old_p
+            if improved:
+                break
+    return value, index, tuple(grid)
 
 
 def resimulate_forward(r: CrossingRouting, x: Fraction) -> int:

@@ -1,6 +1,7 @@
 """Worst-case MILP model, LP round-trips, evaluator, heuristic search."""
 
 from fractions import Fraction
+from random import Random
 
 import pytest
 from hypothesis import given, settings
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from ringload import (
     CrossingRouting,
+    GuaranteeViolated,
     ParameterOutOfRange,
     ParseError,
     build_milp,
@@ -26,6 +28,9 @@ from ringload import (
     tight3,
     tight_even,
 )
+from ringload import adversary
+from ringload.exact import _lowest_performance
+from support import fraction_ascend, naive_min_performance, naive_performance, tie_heavy
 
 
 @pytest.mark.parametrize("m", [2, 3, 4, 5])
@@ -169,6 +174,84 @@ def test_search_seeding():
         heuristic_search(8, 2, "warm", denominator=7, start=skutella8(0))
     with pytest.raises(ParameterOutOfRange):
         heuristic_search(3, 2, "warm", start=skutella8(0))
+
+
+def reference_search(m, budget, seed, denominator, start_grid=None):
+    """``heuristic_search`` with every restart run by the rational ascent."""
+    outcomes = [
+        fraction_ascend((m, denominator, str(seed), t, start_grid if t == 0 else None))
+        for t in range(budget)
+    ]
+    value, _, grid = max(outcomes, key=lambda out: (out[0], -out[1]))
+    routing = CrossingRouting(
+        tuple(Fraction(g, denominator) for g in grid[:m]),
+        tuple(Fraction(g, denominator) for g in grid[m:]),
+    )
+    return routing, value
+
+
+def test_integer_ascent_matches_fraction_ascent():
+    rng = Random(20191)
+    for _ in range(300):
+        m, den = rng.randint(1, 8), rng.randint(2, 24)
+        task = (m, den, str(rng.randrange(1 << 20)), rng.randrange(4), None)
+        assert adversary._ascend(task) == fraction_ascend(task), task
+    start = (4, 4, 6, 2, 7, 1, 7, 2, 6, 4, 4, 2, 3, 7, 3, 2)  # skutella8(0) on tenths
+    task = (8, 10, "warm", 0, start)
+    assert adversary._ascend(task) == fraction_ascend(task)
+    seeded = heuristic_search(8, 2, "warm", denominator=10, start=skutella8(0), workers=1)
+    assert seeded == heuristic_search(8, 2, "warm", denominator=10, start=skutella8(0), workers=2)
+    assert tuple(seeded) == reference_search(8, 2, "warm", 10, start)
+
+
+@pytest.mark.parametrize("m", [9, 10, 11, 12])
+def test_search_beyond_m8(m):
+    result = heuristic_search(m, 3, f"wide{m}", denominator=12)
+    routing, value = result
+    assert value == min_additive_performance(routing).value / routing.max_demand
+    assert tuple(result) == reference_search(m, 3, f"wide{m}", 12)
+
+
+@pytest.mark.parametrize("m", range(1, 11))
+def test_threshold_search_matches_naive(m):
+    for seed in range(3):
+        r = tie_heavy(m, 100 * m + seed)
+        denom, down, up = r.scaled
+        naive_value, naive_mask = naive_min_performance(r)
+        low = naive_value * denom
+        assert low.denominator == 1
+        low = int(low)
+        above = 2 * (sum(down) + sum(up)) + 1
+        assert _lowest_performance(down, up) == (low, naive_mask)
+        assert _lowest_performance(down, up, above) == (low, naive_mask)
+        for limit in (low - 1, low, low + 1, above):
+            hit = _lowest_performance(down, up, limit, first=True)
+            assert (hit is not None) == (low < limit)
+            if hit is not None:
+                perf, mask = hit
+                assert perf < limit
+                assert naive_performance(r, mask) * denom == perf
+
+
+def test_adversary_guarantees_are_checked_not_asserted(monkeypatch):
+    # each check raises GuaranteeViolated, so it also holds under `python -O`
+    model = build_milp(3, symmetry_break=False)
+    full = tuple(range(4))
+    for broken in (lambda m, mask, reduce_vars: ((), full),
+                   lambda m, mask, reduce_vars: (full, ())):
+        with monkeypatch.context() as patch:
+            patch.setattr(adversary, "kept_selectors", broken)
+            with pytest.raises(GuaranteeViolated, match="selector"):
+                max_feasible_performance(model, tight3())
+    # a restart that truthfully reports a routing worse than the seed:
+    # tight_even(8) on tenths performs exactly D
+    monkeypatch.setattr(adversary, "_ascend", lambda task: (Fraction(1), task[3], (5,) * 16))
+    with pytest.raises(GuaranteeViolated, match="seed"):
+        heuristic_search(8, 1, "warm", denominator=10, start=skutella8(0))
+    # a restart that misreports its routing's value fails re-certification
+    monkeypatch.setattr(adversary, "_ascend", lambda task: (Fraction(2), task[3], (5,) * 16))
+    with pytest.raises(GuaranteeViolated, match="optimum"):
+        heuristic_search(8, 1, "warm", denominator=10)
 
 
 def test_search_parameter_domains():

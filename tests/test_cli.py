@@ -253,6 +253,7 @@ def test_optimized_interpreter_gives_the_same_output(tmp_path, text):
         ["verify", str(path)],
         ["boost", str(path), "--check"],
         ["search", "4", "--budget", "1", "--seed", "7"],
+        ["search", "8", "--budget", "2", "--seed", "warm", "--denominator", "10"],
     ):
         normal, optimized = (
             subprocess.run(
