@@ -22,7 +22,6 @@ result is re-certified by the exact oracle.
 from __future__ import annotations
 
 import re
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from random import Random
@@ -570,6 +569,10 @@ def heuristic_search(
     if workers == 1:
         outcomes = [_ascend(task) for task in tasks]
     else:
+        # imported on use: the process pool machinery adds ~2 MiB to every
+        # process that imports the package, most of which never search
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             outcomes = list(pool.map(_ascend, tasks))
     # highest value wins; ties go to the earliest restart, making the

@@ -25,7 +25,7 @@ from functools import cached_property
 from itertools import accumulate
 from math import lcm
 
-from .errors import MalformedRouting
+from .errors import GuaranteeViolated, MalformedRouting
 
 Rational = Fraction
 
@@ -113,9 +113,10 @@ class CrossingRouting:
             raise MalformedRouting(
                 f"u and v must be non-empty and equally long, got {len(u)} and {len(v)}"
             )
-        if any(x <= 0 for x in u) or any(x <= 0 for x in v):
+        if any(x.numerator <= 0 for x in u + v):
             # every demand must be genuinely split; one-sided demands belong
-            # to the reduction's "unsplit" bucket, not in here
+            # to the reduction's "unsplit" bucket, not in here (a Fraction
+            # carries its sign on the numerator)
             raise MalformedRouting("every demand needs positive parts in both directions")
         object.__setattr__(self, "u", u)
         object.__setattr__(self, "v", v)
@@ -161,8 +162,16 @@ class CrossingRouting:
         width = min(d[best], big - d[best])
         # the spread property is implied by the choice of `best`, but it is
         # the contract everything downstream leans on, so keep it checked
-        assert all(x <= width or x >= big - width for x in d)
+        if not all(x <= width or x >= big - width for x in d):
+            raise GuaranteeViolated(f"a demand lies inside the spread band of demand {best + 1}")
         return DeltaClass(Fraction(width, big), best + 1)
+
+    def _adopt_scaled(self, scaled: tuple[int, tuple[int, ...], tuple[int, ...]]) -> CrossingRouting:
+        """Set ``scaled`` without recomputing it, for a routing whose parts
+        rearrange or swap another's: the same integers over the same
+        denominator.  Returns the routing."""
+        self.__dict__["scaled"] = scaled
+        return self
 
     def to_ring_instance(self) -> RingInstance:
         if self.m < 2:

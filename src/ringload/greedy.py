@@ -5,15 +5,39 @@ possible because each demand value is at most D — and steer as close to
 D/2 as they can at each step.  Exact ties prefer the clockwise step
 (+v); any fixed rule would do, but this one is pinned for
 reproducibility.
+
+The walk is steered on integers: each call scales the routing's parts
+and its anchor to one common denominator ``s``, so the trajectory and D
+become integers and "closer to D/2" compares ``|D*s - 2*t|``.  Only the
+anchor of the returned pattern is rational.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
+from math import lcm
+
 from .core import CrossingRouting, Pattern, to_rational
-from .errors import InvalidEnd, InvalidStart
+from .errors import GuaranteeViolated, InvalidEnd, InvalidStart
 
 FORWARD = "forward"
 BACKWARD = "backward"
+
+
+def _scale(r: CrossingRouting, anchor: Fraction) -> tuple[int, int, int, int]:
+    """``(s, k, top, a)``: the denominator shared by the routing's parts
+    and ``anchor``, the factor ``k = s / denom`` that carries the
+    routing's integer parts there, and D and the anchor in units of
+    ``1 / s``."""
+    denom = r.scaled[0]
+    big = r.max_demand
+    s = lcm(denom, anchor.denominator)
+    return (
+        s,
+        s // denom,
+        big.numerator * (s // big.denominator),
+        anchor.numerator * (s // anchor.denominator),
+    )
 
 
 def forward_greedy(r: CrossingRouting, x) -> Pattern:
@@ -22,19 +46,20 @@ def forward_greedy(r: CrossingRouting, x) -> Pattern:
     x = to_rational(x)
     if not 0 <= x <= big:
         raise InvalidStart(f"start {x} outside [0, {big}]")
-    half = big / 2
+    _, us, vs = r.scaled
+    _, k, top, cur = _scale(r, x)
     choices = 0
-    cur = x
-    for i in range(r.m):
-        up = cur + r.v[i]
-        down = cur - r.u[i]
+    for i, (u, v) in enumerate(zip(us, vs)):
+        up = cur + k * v
+        down = cur - k * u
         # at least one branch stays inside [0, D] since u[i] + v[i] <= D
-        if up <= big and (down < 0 or abs(half - up) <= abs(half - down)):
+        if up <= top and (down < 0 or abs(top - 2 * up) <= abs(top - 2 * down)):
             choices |= 1 << i
             cur = up
         else:
             cur = down
-    assert 0 <= cur <= big
+    if not 0 <= cur <= top:
+        raise GuaranteeViolated(f"forward greedy from {x} left [0, {big}]")
     return Pattern(r, choices, x)
 
 
@@ -44,22 +69,25 @@ def backward_greedy(r: CrossingRouting, y) -> Pattern:
     y = to_rational(y)
     if not 0 <= y <= big:
         raise InvalidEnd(f"end {y} outside [0, {big}]")
-    half = big / 2
+    _, us, vs = r.scaled
+    s, k, top, cur = _scale(r, y)
+    end = cur
     choices = 0
-    cur = y
     for i in reversed(range(r.m)):
         # undo step i: predecessor is cur - v[i] if the step was +v,
         # cur + u[i] if it was -u
-        was_up = cur - r.v[i]
-        was_down = cur + r.u[i]
-        if was_up >= 0 and (was_down > big or abs(half - was_up) <= abs(half - was_down)):
+        was_up = cur - k * vs[i]
+        was_down = cur + k * us[i]
+        if was_up >= 0 and (was_down > top or abs(top - 2 * was_up) <= abs(top - 2 * was_down)):
             choices |= 1 << i
             cur = was_up
         else:
             cur = was_down
-    assert 0 <= cur <= big
-    pattern = Pattern(r, choices, cur)
-    assert pattern.end == y
+    if not 0 <= cur <= top:
+        raise GuaranteeViolated(f"backward greedy to {y} left [0, {big}]")
+    pattern = Pattern(r, choices, Fraction(cur, s))
+    if cur + k * pattern.walk[-1] != end:
+        raise GuaranteeViolated(f"backward greedy pattern ends at {pattern.end}, not {y}")
     return pattern
 
 
@@ -70,6 +98,10 @@ def is_proper(p: Pattern, direction: str, delta) -> bool:
     if direction not in (FORWARD, BACKWARD):
         raise ValueError(f"direction must be {FORWARD!r} or {BACKWARD!r}, got {direction!r}")
     big = p.routing.max_demand
-    margin = to_rational(delta) * big / 4
+    delta = to_rational(delta)
     anchor = p.start if direction == FORWARD else p.end
-    return margin <= anchor <= big - margin
+    # margin <= anchor <= D - margin with margin = delta*D/4, times the
+    # positive 4 * (all three denominators)
+    scale = big.numerator * anchor.denominator
+    mid = 4 * delta.denominator * big.denominator * anchor.numerator
+    return delta.numerator * scale <= mid <= (4 * delta.denominator - delta.numerator) * scale

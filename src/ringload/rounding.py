@@ -124,15 +124,17 @@ def induced_patterns(r: CrossingRouting, pa: Pattern) -> tuple[Pattern, Pattern]
     """The two companion greedy patterns of a base pattern: a forward one
     whose start mirrors two thirds of pa's end, and a backward one whose
     end mirrors two thirds of pa's start.  Their anchors satisfy the
-    midpoint identities asserted below, which drive the crossover bound."""
+    midpoint identities checked below, which drive the crossover bound."""
     big = r.max_demand
     xa, ya = pa.start, pa.end
     xb = 2 * (big - ya) / 3 + xa / 3
     yc = 2 * (big - xa) / 3 + ya / 3
     pb = forward_greedy(r, xb)
     pc = backward_greedy(r, yc)
-    assert big - yc == (xa + xb) / 2
-    assert big - xb == (ya + yc) / 2
+    if big - pc.end != (xa + pb.start) / 2:
+        raise GuaranteeViolated("induced anchors break D - yc = (xa + xb)/2")
+    if big - pb.start != (ya + pc.end) / 2:
+        raise GuaranteeViolated("induced anchors break D - xb = (ya + yc)/2")
     return pb, pc
 
 
@@ -196,19 +198,9 @@ def round_via_induced(
 def _rotate_routing(r: CrossingRouting, shift: int) -> CrossingRouting:
     """Renumber demands so that old demand shift+1 becomes demand 1.
     Demands that wrap past m re-enter with their two directions swapped."""
-    m = r.m
-    u = []
-    v = []
-    for j in range(1, m + 1):
-        i = j + shift
-        if i <= m:
-            u.append(r.u[i - 1])
-            v.append(r.v[i - 1])
-        else:
-            i -= m
-            u.append(r.v[i - 1])
-            v.append(r.u[i - 1])
-    return CrossingRouting(tuple(u), tuple(v))
+    denom, us, vs = r.scaled
+    rotated = CrossingRouting(r.u[shift:] + r.v[:shift], r.v[shift:] + r.u[:shift])
+    return rotated._adopt_scaled((denom, us[shift:] + vs[:shift], vs[shift:] + us[:shift]))
 
 
 def _unrotate_pattern(r: CrossingRouting, rotated: Pattern, shift: int) -> Pattern:
@@ -216,27 +208,22 @@ def _unrotate_pattern(r: CrossingRouting, rotated: Pattern, shift: int) -> Patte
     flipping the choice bits of wrapped demands and re-centering the start
     so the anchor sum x + y is preserved (performance is unchanged either
     way; asserted)."""
-    m = r.m
-    choices = 0
-    for j in range(1, m + 1):
-        bit = rotated.choices >> (j - 1) & 1
-        i = j + shift
-        if i <= m:
-            if bit:
-                choices |= 1 << (i - 1)
-        else:
-            i -= m
-            if not bit:
-                choices |= 1 << (i - 1)
-    step_sum = Pattern(r, choices, Fraction(0)).end
-    start = (rotated.start + rotated.end - step_sum) / 2
+    kept = r.m - shift
+    # rotated bit j - 1 is input bit j + shift - 1; wrapped ones flip
+    choices = (rotated.choices & ((1 << kept) - 1)) << shift
+    choices |= ~rotated.choices >> kept & ((1 << shift) - 1)
+    denom, us, vs = r.scaled
+    step_sum = sum(v if choices >> i & 1 else -u for i, (u, v) in enumerate(zip(us, vs)))
+    # both walks share the denominator, so x + y = 2 * start + walk end
+    start = rotated.start + Fraction(rotated.walk[-1] - step_sum, 2 * denom)
     pattern = Pattern(r, choices, start)
     assert additive_performance(pattern) == additive_performance(rotated)
     return pattern
 
 
 def _swap_directions(r: CrossingRouting) -> CrossingRouting:
-    return CrossingRouting(r.v, r.u)
+    denom, us, vs = r.scaled
+    return CrossingRouting(r.v, r.u)._adopt_scaled((denom, vs, us))
 
 
 def _reflect_pattern(target: CrossingRouting, p: Pattern) -> Pattern:
@@ -259,6 +246,11 @@ def _checked_delta(r: CrossingRouting, delta) -> tuple[Fraction, int]:
     return delta, cls.index
 
 
+def _last_demand(r: CrossingRouting) -> Fraction:
+    denom, us, vs = r.scaled
+    return Fraction(us[-1] + vs[-1], denom)
+
+
 def _extended_backward(rr: CrossingRouting) -> tuple[Pattern, bool]:
     """Backward greedy through the extremal last demand.
 
@@ -267,16 +259,20 @@ def _extended_backward(rr: CrossingRouting) -> tuple[Pattern, bool]:
     Returns the high-anchored walk if it starts at or below D/2, else the
     low-anchored one, plus which case applied."""
     big = rr.max_demand
-    d_last = rr.demand_values[-1]
-    m = rr.m
+    d_last = _last_demand(rr)
+    last = 1 << (rr.m - 1)
     high = backward_greedy(rr, (big + d_last) / 2)
-    assert high.choices >> (m - 1) & 1, "high anchor must force the last step up"
+    if not high.choices & last:
+        raise GuaranteeViolated("high anchor must force the last step up")
     if high.start <= big / 2:
         return high, True
     low = backward_greedy(rr, (big - d_last) / 2)
-    assert not (low.choices >> (m - 1) & 1), "low anchor must force the last step down"
-    assert low.start == high.start
-    assert low.choices == high.choices ^ (1 << (m - 1))
+    if low.choices & last:
+        raise GuaranteeViolated("low anchor must force the last step down")
+    if low.start != high.start:
+        raise GuaranteeViolated(f"extremal walks start apart: {low.start} and {high.start}")
+    if low.choices != high.choices ^ last:
+        raise GuaranteeViolated("extremal walks differ before the last step")
     return low, False
 
 
@@ -320,9 +316,11 @@ def round_upper(r: CrossingRouting, delta) -> BoundedRounding:
         base = _reflect_pattern(work, chosen)
         reflected = True
     big = work.max_demand
-    d_last = work.demand_values[-1]
-    assert base.end == (big + d_last) / 2
-    assert base.start <= big / 2
+    d_last = _last_demand(work)
+    if base.end != (big + d_last) / 2:
+        raise GuaranteeViolated(f"base pattern ends at {base.end}, not (D + d_m)/2")
+    if base.start > big / 2:
+        raise GuaranteeViolated(f"base pattern starts at {base.start}, above D/2")
     certified = Fraction(7, 6) + delta / 3
     window = big / 6 + delta * big / 3
     mirrored_end = (big - d_last) / 2

@@ -10,6 +10,10 @@ from contextlib import contextmanager
 import pytest
 from hypothesis import HealthCheck, settings
 
+# the shared oracles check with `assert`; rewritten like the test modules,
+# those checks still run under `python -O`
+pytest.register_assert_rewrite("support")
+
 settings.register_profile(
     "suite",
     deadline=None,

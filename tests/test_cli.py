@@ -235,8 +235,10 @@ def test_usage_errors_exit_2(capsys):
         "ring 8\ndemand 1 2 4 2\ndemand 1 5 4 3\ndemand 1 8 4 2\ndemand 4 7 4 3\n",
         # split-load gaps up to 27 > D = 11: boost caps fillers repeatedly
         "split 3\npair 10 1\npair 10 1\npair 10 1\n",
+        # round_main takes the crossover branch (induced patterns, splice)
+        "split 6\npair 19/8 3\npair 22/7 8\npair 29/2 22\npair 15/7 35/4\npair 3 4/5\npair 1/2 3/4\n",
     ],
-    ids=["split", "ring", "uncrossing", "capping"],
+    ids=["split", "ring", "uncrossing", "capping", "crossover"],
 )
 def test_optimized_interpreter_gives_the_same_output(tmp_path, text):
     # `python -O` strips every assert: the library must still compute

@@ -1,12 +1,16 @@
 """Certified rounding constructions: bounds, dispatch, and combinators."""
 
+import hashlib
 from fractions import Fraction
+from random import Random
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import ringload.core
+import ringload.greedy
+import ringload.rounding
 from ringload import (
     BoundedRounding,
     CrossingRouting,
@@ -20,6 +24,7 @@ from ringload import (
     backward_greedy,
     closeness,
     crossover,
+    forward_greedy,
     induced_patterns,
     min_additive_performance,
     round_main,
@@ -32,7 +37,7 @@ from ringload import (
     tight3,
     tight6,
 )
-from support import crossing_routings, routed_patterns
+from support import crossing_routings, random_crossing, routed_patterns
 
 
 @st.composite
@@ -234,3 +239,142 @@ def test_reflection_preserves_performance(p):
         r.max_demand - p.start,
     )
     assert additive_performance(mirrored) == additive_performance(p)
+
+
+# the two crossover-branch routings pinned in the round_corpus benchmark
+# workload, then seeded random ones shaped like the acceptance corpus
+GOLDEN_PINNED = (
+    CrossingRouting(
+        (Fraction(19, 8), Fraction(22, 7), Fraction(29, 2), Fraction(15, 7), 3, Fraction(1, 2)),
+        (3, 8, 22, Fraction(35, 4), Fraction(4, 5), Fraction(3, 4)),
+    ),
+    CrossingRouting(
+        (Fraction(15, 11), Fraction(5, 8), Fraction(32, 3), Fraction(11, 9), 13,
+         Fraction(29, 10), Fraction(35, 4), Fraction(11, 3)),
+        (4, Fraction(8, 7), 12, Fraction(13, 9), Fraction(5, 2), Fraction(7, 6),
+         Fraction(20, 3), Fraction(7, 2)),
+    ),
+)
+# sha256 of one "choices|start|realized|certified|method" line per routing,
+# recorded with the rational greedy passes
+GOLDEN_DIGEST = "b163f26120b031773c2f3294cdc19d7b6ddb043523eae4d6f36afce977fc953c"
+
+
+def test_round_main_golden_digest():
+    rng = Random("round_main golden")
+    corpus = GOLDEN_PINNED + tuple(random_crossing(rng) for _ in range(500))
+    lines = []
+    for r in corpus:
+        out = round_main(r)
+        p = out.pattern
+        lines.append(f"{p.choices}|{p.start}|{out.realized}|{out.certified_bound}|{out.method.value}")
+    assert [line.rsplit("|", 1)[1] for line in lines[:2]] == ["crossover", "crossover"]
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == GOLDEN_DIGEST
+
+
+class _DriftingD(Fraction):
+    """A largest demand D whose ``drift_at``-th subtraction comes out
+    1/1000 too large: the one way into an identity check that exact
+    arithmetic always passes."""
+
+    def __new__(cls, value, drift_at):
+        self = super().__new__(cls, value)
+        self.drift_at = drift_at
+        self.calls = 0
+        return self
+
+    def __sub__(self, other):
+        self.calls += 1
+        exact = Fraction(self) - other
+        return exact + Fraction(1, 1000) if self.calls == self.drift_at else exact
+
+
+def _greedy_leaves_strip(monkeypatch, build):
+    r = CrossingRouting((3,), (3,))  # D = 6; both steps from 2 leave [0, 4]
+    monkeypatch.setitem(r.__dict__, "max_demand", Fraction(4))
+    build(r, Fraction(2))
+
+
+def _greedy_misses_end(monkeypatch):
+    monkeypatch.setattr(
+        ringload.greedy, "Pattern", lambda r, choices, start: Pattern(r, choices ^ 1, start)
+    )
+    backward_greedy(tight3(), Fraction(2))
+
+
+def _induced_identity(monkeypatch, drift_at):
+    r = tight3()
+    pa = backward_greedy(r, Fraction(2))
+    monkeypatch.setitem(r.__dict__, "max_demand", _DriftingD(r.max_demand, drift_at))
+    induced_patterns(r, pa)
+
+
+def _extended_backward_tweaked(monkeypatch, tweak, low=True):
+    # D = 4 = d_m: the high walk ends at 4 and starts at 3 > D/2, so the
+    # low walk (ending at 0) is built and checked too; `tweak` alters
+    # the low walk, or the high one
+    real = ringload.rounding.backward_greedy
+
+    def fake(rr, y):
+        p = real(rr, y)
+        return tweak(p) if (y == 0) == low else p
+
+    monkeypatch.setattr(ringload.rounding, "backward_greedy", fake)
+    ringload.rounding._extended_backward(CrossingRouting((1, 1, 1), (2, 1, 3)))
+
+
+def _round_upper_base(monkeypatch, start_above_half):
+    def fake(rr):
+        big, d_last = rr.max_demand, rr.u[-1] + rr.v[-1]
+        # all steps down: the walk ends sum(u) below its start
+        start = (big + d_last) / 2 + sum(rr.u) if start_above_half else Fraction(0)
+        return Pattern(rr, 0, start), True
+
+    monkeypatch.setattr(ringload.rounding, "_extended_backward", fake)
+    round_upper(tight3(), Fraction(0))
+
+
+def _delta_class_spread(monkeypatch):
+    # demands 10, 5, 1: a `min` that picks the demand farthest from D/2
+    # names demand 1 as the witness, and demand 5 sits in its band
+    r = CrossingRouting((5, 2, Fraction(1, 2)), (5, 3, Fraction(1, 2)))
+    r.scaled
+    builtin_min = min
+
+    def wrong_min(*args, key=None):
+        return max(*args, key=key) if key else builtin_min(*args)
+
+    monkeypatch.setattr(ringload.core, "min", wrong_min, raising=False)
+    r.classify_delta()
+
+
+GUARANTEE_CASES = {
+    "forward_strip": lambda mp: _greedy_leaves_strip(mp, forward_greedy),
+    "backward_strip": lambda mp: _greedy_leaves_strip(mp, backward_greedy),
+    "backward_end": _greedy_misses_end,
+    "induced_first_identity": lambda mp: _induced_identity(mp, 1),
+    "induced_second_identity": lambda mp: _induced_identity(mp, 4),
+    "high_forced_up": lambda mp: _extended_backward_tweaked(
+        mp, lambda p: Pattern(p.routing, 0, p.start), low=False
+    ),
+    "low_forced_down": lambda mp: _extended_backward_tweaked(
+        mp, lambda p: Pattern(p.routing, p.choices | 0b100, p.start)
+    ),
+    "shared_start": lambda mp: _extended_backward_tweaked(
+        mp, lambda p: Pattern(p.routing, p.choices, p.start + 1)
+    ),
+    "shared_prefix": lambda mp: _extended_backward_tweaked(
+        mp, lambda p: Pattern(p.routing, p.choices ^ 1, p.start)
+    ),
+    "upper_base_end": lambda mp: _round_upper_base(mp, False),
+    "upper_base_start": lambda mp: _round_upper_base(mp, True),
+    "delta_class_spread": _delta_class_spread,
+}
+
+
+@pytest.mark.parametrize("case", sorted(GUARANTEE_CASES))
+def test_greedy_guarantees_are_checked_not_asserted(case, monkeypatch):
+    # each case breaks one construction step from outside; the library
+    # must refuse with GuaranteeViolated, which `python -O` keeps
+    with pytest.raises(GuaranteeViolated):
+        GUARANTEE_CASES[case](monkeypatch)
