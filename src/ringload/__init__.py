@@ -40,8 +40,6 @@ from .core import (
     Rational,
     RingInstance,
     additive_performance,
-    pattern_delta,
-    performance_is_start_invariant,
     split_loads,
     to_rational,
     unsplittable_loads,

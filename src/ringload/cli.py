@@ -51,7 +51,10 @@ RATIONAL_RE = re.compile(r"^[+-]?\d+(/\d+)?$", re.ASCII)
 def parse_rational(token: str, where: str) -> Fraction:
     if not RATIONAL_RE.match(token):
         raise ParseError(f"{where}: {token!r} is not an exact rational (use p or p/q)")
-    return Fraction(token)
+    try:
+        return Fraction(token)
+    except ZeroDivisionError:
+        raise ParseError(f"{where}: {token!r} has a zero denominator") from None
 
 
 def parse_count(token: str, where: str) -> int:
@@ -359,9 +362,10 @@ def cmd_gen(args) -> int:
 
 
 def _rational_arg(token: str) -> Fraction:
-    if not RATIONAL_RE.match(token):
-        raise argparse.ArgumentTypeError(f"{token!r} is not an exact rational (use p or p/q)")
-    return Fraction(token)
+    try:
+        return parse_rational(token, "value")
+    except ParseError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -261,27 +261,24 @@ class Pattern:
 
 @dataclass(frozen=True)
 class LoadProfile:
-    """Per-edge values; ``loads[k - 1]`` belongs to edge ``{k, k+1}``.
-
-    ``signed`` marks difference profiles, which may carry negative
-    entries; actual routing loads must be non-negative.
-    """
+    """Per-edge loads; ``loads[k - 1]`` belongs to edge ``{k, k+1}``.
+    Routing loads are non-negative."""
 
     loads: tuple[Fraction, ...]
-    signed: bool = False
 
     def __post_init__(self):
         object.__setattr__(self, "loads", tuple(to_rational(x) for x in self.loads))
-        if not self.signed and any(x < 0 for x in self.loads):
-            raise MalformedRouting("negative entry in an unsigned load profile")
+        if any(x < 0 for x in self.loads):
+            raise MalformedRouting("negative entry in a load profile")
+
+    @classmethod
+    def from_scaled(cls, denom: int, loads) -> LoadProfile:
+        """The profile of integer loads in units of ``1 / denom``."""
+        return cls(tuple(Fraction(x, denom) for x in loads))
 
     @property
     def max_load(self) -> Fraction:
         return max(self.loads)
-
-    @property
-    def min_load(self) -> Fraction:
-        return min(self.loads)
 
     def __len__(self):
         return len(self.loads)
@@ -301,21 +298,6 @@ def ccw_edges(n: int, i: int, j: int) -> frozenset[int]:
     return frozenset(range(j, n + 1)) | frozenset(range(1, i))
 
 
-def scaled_arc_loads(n: int, arcs) -> tuple[int, list[int]]:
-    """Edge loads of an n-ring carrying ``(i, j, cw_part, ccw_part)``
-    arcs (``1 <= i < j <= n``, rational parts): ``(denom, loads)``, the
-    least common denominator of all parts and the integer load of edge
-    k in units of ``1 / denom`` at ``loads[k - 1]``.
-
-    The sweep itself is ``integer_arc_loads``."""
-    arcs = list(arcs)
-    denom = lcm(*(x.denominator for _, _, a, b in arcs for x in (a, b)))
-    return denom, integer_arc_loads(n, (
-        (i, j, a.numerator * (denom // a.denominator), b.numerator * (denom // b.denominator))
-        for i, j, a, b in arcs
-    ))
-
-
 def integer_arc_loads(n: int, arcs) -> list[int]:
     """Integer edge loads of an n-ring carrying ``(i, j, cw_part,
     ccw_part)`` arcs with integer parts, edge k at ``loads[k - 1]``.
@@ -332,17 +314,14 @@ def integer_arc_loads(n: int, arcs) -> list[int]:
     return list(accumulate(diff))
 
 
-def arc_loads(n: int, arcs) -> LoadProfile:
-    """``scaled_arc_loads`` as a profile of rationals."""
-    denom, loads = scaled_arc_loads(n, arcs)
-    return LoadProfile(tuple(Fraction(x, denom) for x in loads))
-
-
 def split_loads(r: CrossingRouting) -> LoadProfile:
     """Edge loads of the split routing: demand i puts u[i] on its
     clockwise edges i..i+m-1 and v[i] on the other m edges."""
     m = r.m
-    return arc_loads(2 * m, ((i, i + m, r.u[i - 1], r.v[i - 1]) for i in range(1, m + 1)))
+    denom, us, vs = r.scaled
+    return LoadProfile.from_scaled(denom, integer_arc_loads(
+        2 * m, ((i, i + m, us[i - 1], vs[i - 1]) for i in range(1, m + 1))
+    ))
 
 
 def unsplittable_loads(r: CrossingRouting, choices: int) -> LoadProfile:
@@ -351,38 +330,15 @@ def unsplittable_loads(r: CrossingRouting, choices: int) -> LoadProfile:
     m = r.m
     if not isinstance(choices, int) or isinstance(choices, bool) or not 0 <= choices < (1 << m):
         raise MalformedRouting(f"choices {choices!r} out of range for m={m}")
-    zero = Fraction(0)
-    d = r.demand_values
-    return arc_loads(2 * m, (
-        (i, i + m, d[i - 1], zero) if choices >> (i - 1) & 1 else (i, i + m, zero, d[i - 1])
+    denom, us, vs = r.scaled
+    return LoadProfile.from_scaled(denom, integer_arc_loads(2 * m, (
+        (i, i + m, us[i - 1] + vs[i - 1], 0) if choices >> (i - 1) & 1
+        else (i, i + m, 0, us[i - 1] + vs[i - 1])
         for i in range(1, m + 1)
-    ))
-
-
-def pattern_delta(p: Pattern) -> LoadProfile:
-    """Signed per-edge load change of switching the split routing to the
-    unsplittable routing encoded by ``p.choices``.
-
-    Edge k (k in 1..m) changes by (sum of steps up to k) - (sum of steps
-    after k); edge k+m gets the negation.
-    """
-    prefixes = p.prefix_values
-    x, y = prefixes[0], prefixes[-1]
-    first = [2 * prefixes[k] - x - y for k in range(1, len(prefixes))]
-    return LoadProfile(tuple(first + [-t for t in first]), signed=True)
+    )))
 
 
 def additive_performance(p: Pattern) -> Fraction:
     """Largest edge-load increase caused by the pattern (see
     ``Pattern.performance``; computed once per pattern)."""
     return p.performance
-
-
-def performance_is_start_invariant(p: Pattern, new_start) -> Fraction:
-    """Recompute the performance of ``p`` re-anchored at ``new_start``.
-
-    Translation shifts a, b, x, y alike, so the value never changes;
-    returned for regression checks rather than trusted silently.
-    """
-    moved = Pattern(p.routing, p.choices, to_rational(new_start))
-    return additive_performance(moved)

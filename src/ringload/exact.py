@@ -10,7 +10,6 @@ from __future__ import annotations
 from collections.abc import Sequence
 from fractions import Fraction
 from itertools import accumulate
-from math import lcm
 from typing import NamedTuple
 
 from .core import CrossingRouting, Pattern, RingInstance, split_loads
@@ -98,15 +97,12 @@ class UnsplittableOptimum(NamedTuple):
 
 
 def _enumerate_unsplittable(
-    instance: RingInstance,
-    base_cw: list[Fraction],
-    free: list[int],
-    cap: int,
+    base: GeneralSplitRouting, free: list[int], cap: int
 ) -> UnsplittableOptimum:
     """Minimize the maximum edge load over all one-sided routings of the
-    ``free`` demands, keeping the rest as given in ``base_cw``.
+    ``free`` demands, keeping the rest as routed in ``base``.
 
-    Depth-first branch-and-bound on integers over one common denominator.
+    Depth-first branch-and-bound on the integers of ``base.scaled``.
     The fixed demands load the ring first; then free position k-1 is
     placed first, counter-clockwise (bit clear) before clockwise, so
     leaves arrive in ascending mask order and the first optimum reached
@@ -116,24 +112,14 @@ def _enumerate_unsplittable(
     k = len(free)
     if k > cap:
         raise TooLarge(f"2^{k} routings exceeds the enumeration cap 2^{cap}")
-    n = instance.n
+    instance = base.instance
     demands = instance.demands
+    denom, values, parts = base.scaled
     free_set = set(free)
-    fixed = [t for t in range(len(demands)) if t not in free_set]
-    denom = lcm(
-        *(value.denominator for _, _, value in demands),
-        *(base_cw[t].denominator for t in fixed),
-    )
-
-    def scale(x: Fraction) -> int:
-        return x.numerator * (denom // x.denominator)
-
-    fixed_arcs = []
-    for t in fixed:
-        i, j, value = demands[t]
-        cw = scale(base_cw[t])
-        fixed_arcs.append((i, j, cw, scale(value) - cw))
-    loads = integer_arc_loads(n, fixed_arcs)
+    loads = integer_arc_loads(instance.n, (
+        (i, j, parts[t], values[t] - parts[t])
+        for t, (i, j, _) in enumerate(demands) if t not in free_set
+    ))
     best = max(loads)
     best_mask = 0
     if k:
@@ -150,10 +136,10 @@ def _enumerate_unsplittable(
         # clockwise arcs as spans [lo, hi) of runs
         placements = []
         for t in free:
-            i, j, value = demands[t]
+            i, j, _ = demands[t]
             lo, hi = run_of[i - 1], run_of[j - 1]
             ccw = ((hi, run_count), (0, lo)) if lo else ((hi, run_count),)
-            placements.append((scale(value), ccw, ((lo, hi),)))
+            placements.append((values[t], ccw, ((lo, hi),)))
 
         def descend(pos: int, peak: int, mask: int) -> None:
             nonlocal best, best_mask
@@ -177,10 +163,9 @@ def _enumerate_unsplittable(
 
         best += sum(value for value, _, _ in placements) + 1  # above every bound
         descend(k, max(peaks), 0)
-    cw_out = list(base_cw)
+    cw_out = list(base.clockwise)
     for pos, t in enumerate(free):
-        value = instance.demands[t][2]
-        cw_out[t] = value if best_mask >> pos & 1 else Fraction(0)
+        cw_out[t] = demands[t][2] if best_mask >> pos & 1 else Fraction(0)
     witness = GeneralSplitRouting(instance, tuple(cw_out))
     result = Fraction(best, denom)
     if witness.loads().max_load != result:
@@ -195,17 +180,16 @@ def optimal_unsplittable(instance: RingInstance, demand_cap: int = DEFAULT_CAP) 
     over the directions of the demands with positive value (zero-value
     demands are reported counter-clockwise in the witness)."""
     free = [t for t, (_, _, d) in enumerate(instance.demands) if d > 0]
-    base = [Fraction(0)] * len(instance.demands)
-    return _enumerate_unsplittable(instance, base, free, demand_cap)
+    base = GeneralSplitRouting(instance, (Fraction(0),) * len(instance.demands))
+    return _enumerate_unsplittable(base, free, demand_cap)
 
 
 def optimal_unsplittable_boosted(boosted, cap: int = DEFAULT_CAP) -> UnsplittableOptimum:
     """Unsplittable optimum of a boosted instance with every short demand
     pinned to its home path; only the 2^m crossing reroutings are
     searched."""
-    canonical = boosted.canonical_routing
     free = [t for t, component in enumerate(boosted.components) if component.kind == "crossing"]
-    return _enumerate_unsplittable(canonical.instance, list(canonical.clockwise), free, cap)
+    return _enumerate_unsplittable(boosted.canonical_routing, free, cap)
 
 
 def split_optimum_crossing(r: CrossingRouting) -> Fraction:

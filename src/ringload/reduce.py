@@ -19,7 +19,7 @@ from fractions import Fraction
 from math import lcm
 
 from .core import CrossingRouting, LoadProfile, RingInstance, to_rational
-from .core import arc_loads, ccw_edges, cw_edges, integer_arc_loads, scaled_arc_loads
+from .core import ccw_edges, cw_edges, integer_arc_loads
 from .errors import GuaranteeViolated, MalformedRouting
 
 CW = "cw"
@@ -70,17 +70,26 @@ class GeneralSplitRouting:
             if 0 < part < value
         )
 
+    @property
+    def scaled(self) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
+        """``(denom, values, cw)``: the least common denominator of all
+        demand values and clockwise parts and their integer numerators,
+        ``values[t] = value_t * denom`` and ``cw[t] = clockwise[t] * denom``.
+        Recomputed on every access: unlike ``CrossingRouting.scaled`` it
+        is not cached, which measurably raised the reduction's peak memory."""
+        values = [value for _, _, value in self.instance.demands]
+        denom = lcm(*(x.denominator for x in values), *(x.denominator for x in self.clockwise))
+        return (
+            denom,
+            tuple(x.numerator * (denom // x.denominator) for x in values),
+            tuple(x.numerator * (denom // x.denominator) for x in self.clockwise),
+        )
+
     def loads(self) -> LoadProfile:
-        demands = self.instance.demands
-        return arc_loads(self.instance.n, _arcs(demands, self.clockwise, range(len(demands))))
-
-
-def _arcs(demands, clockwise, which):
-    """The selected demands (0-based indices) as ``(i, j, cw_part,
-    ccw_part)`` arcs for ``core.scaled_arc_loads``."""
-    for t in which:
-        i, j, value = demands[t]
-        yield i, j, clockwise[t], value - clockwise[t]
+        denom, values, cw = self.scaled
+        return LoadProfile.from_scaled(denom, integer_arc_loads(self.instance.n, (
+            (i, j, c, v - c) for (i, j, _), v, c in zip(self.instance.demands, values, cw)
+        )))
 
 
 def demands_cross(a: tuple[int, int], b: tuple[int, int]) -> bool:
@@ -108,14 +117,13 @@ def uncross_parallel(s: GeneralSplitRouting) -> tuple[GeneralSplitRouting, tuple
     split demands pairwise cross.  Each exchange pushes both demands onto
     edge-disjoint paths, so no edge load ever increases (checked), and at
     least one of the two demands becomes one-sided.  The loop runs on
-    integers over the least common denominator of every demand value and
-    clockwise part; an exchange amount is a difference of existing parts."""
+    integers over ``s.scaled``; an exchange amount is a difference of
+    existing parts."""
     instance = s.instance
     n = instance.n
     demands = instance.demands
-    denom = lcm(*(x.denominator for x in s.clockwise), *(d[2].denominator for d in demands))
-    value = [d[2].numerator * (denom // d[2].denominator) for d in demands]
-    cw = [x.numerator * (denom // x.denominator) for x in s.clockwise]
+    denom, value, cw = s.scaled
+    cw = list(cw)
 
     def loads():
         return integer_arc_loads(n, (
@@ -266,7 +274,10 @@ def to_crossing_form(s: GeneralSplitRouting) -> ReductionResult:
 
     # contraction is only sound if the split-demand loads agree on all
     # edges being merged together
-    denom, split_profile = scaled_arc_loads(n, _arcs(demands, cw, split_idx))
+    denom, values, scaled_cw = base.scaled
+    split_profile = integer_arc_loads(n, (
+        (demands[t][0], demands[t][1], scaled_cw[t], values[t] - scaled_cw[t]) for t in split_idx
+    ))
     merged: dict[int, int] = {}
     for image, load in zip(images, split_profile):
         if image in merged:

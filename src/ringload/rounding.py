@@ -105,18 +105,20 @@ def crossover(p1: Pattern, p2: Pattern) -> Pattern:
     to the witness index, p2's afterwards, and center the start so both
     halves shift by half the gap.  The result keeps the combined anchor
     sum x1 + y2 and stays within the union strip widened by half the gap
-    on each side (all asserted)."""
+    on each side (both checked)."""
     gap, k = closeness(p1, p2)
     g = p1.prefix_values[k] - p2.prefix_values[k]
     low_mask = (1 << k) - 1
     choices = (p1.choices & low_mask) | (p2.choices & ~low_mask)
     start = p1.start - g / 2
     spliced = Pattern(p1.routing, choices, start)
-    assert spliced.start + spliced.end == p1.start + p2.end
+    if spliced.start + spliced.end != p1.start + p2.end:
+        raise GuaranteeViolated("crossover changed the combined anchor sum x1 + y2")
     lo1, hi1 = p1.strip
     lo2, hi2 = p2.strip
     lo, hi = spliced.strip
-    assert min(lo1, lo2) - gap / 2 <= lo and hi <= max(hi1, hi2) + gap / 2
+    if not (min(lo1, lo2) - gap / 2 <= lo and hi <= max(hi1, hi2) + gap / 2):
+        raise GuaranteeViolated("crossover left the union strip widened by half the gap")
     return spliced
 
 
@@ -330,7 +332,10 @@ def round_upper(r: CrossingRouting, delta) -> BoundedRounding:
         )
     else:
         inner = round_via_induced(work, base, delta, pa_direction=BACKWARD)
-        assert inner.certified_bound <= certified
+        if inner.certified_bound > certified:
+            raise GuaranteeViolated(
+                f"induced rounding certifies {inner.certified_bound}, above {certified}"
+            )
     pattern = inner.pattern
     if reflected:
         pattern = _reflect_pattern(rr, pattern)
@@ -349,7 +354,10 @@ def round_main(r: CrossingRouting) -> BoundedRounding:
         branch = round_medium(r, cls.value)
     else:
         branch = round_upper(r, cls.value)
-    assert branch.certified_bound <= Fraction(13, 10)
+    if branch.certified_bound > Fraction(13, 10):
+        raise GuaranteeViolated(
+            f"{branch.method.value} rounding certifies {branch.certified_bound}, above 13/10"
+        )
     baseline = ssw_round(r)
     if baseline.realized < branch.realized:
         return BoundedRounding(

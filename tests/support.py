@@ -7,6 +7,7 @@ library and the tests can only agree by being right.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from math import lcm
 from random import Random
@@ -27,10 +28,9 @@ from ringload import (
     UncrossStep,
     demands_cross,
     min_additive_performance,
-    pattern_delta,
     split_loads,
 )
-from ringload.core import ccw_edges, cw_edges, scaled_arc_loads
+from ringload.core import ccw_edges, cw_edges
 
 positive_rationals = st.fractions(
     min_value=Fraction(1, 12), max_value=Fraction(24), max_denominator=12
@@ -71,6 +71,65 @@ def general_routings(draw, max_demands: int = 8) -> GeneralSplitRouting:
             num = draw(st.integers(0, 16))
             parts.append(value * Fraction(num, 16))
     return GeneralSplitRouting(RingInstance(n, tuple(demands)), tuple(parts))
+
+
+def scaled_ring_loads(n: int, arcs) -> tuple[int, list[int]]:
+    """``(denom, loads)`` of an n-ring carrying ``(i, j, cw_part,
+    ccw_part)`` arcs with rational parts: the least common denominator
+    of all parts and, per edge k at ``loads[k - 1]``, its integer load in
+    units of ``1 / denom`` by explicit membership (edge k is on the
+    clockwise arc exactly when i <= k < j)."""
+    arcs = list(arcs)
+    denom = lcm(*(x.denominator for _, _, a, b in arcs for x in (a, b)))
+    loads = []
+    for k in range(1, n + 1):
+        total = Fraction(0)
+        for i, j, a, b in arcs:
+            total += a if i <= k < j else b
+        loads.append(int(total * denom))
+    return denom, loads
+
+
+# characters a parser fuzz splices in: the formats' own digits, signs,
+# separators and keyword letters, plus non-ASCII digits
+FUZZ_ALPHABET = "0123456789/-+ .:#\n\tabcdefgilmnoprstuvwxE_²٣"
+
+# whole tokens a parser fuzz swaps in: small integers and fractions with
+# any small numerator and denominator, and near-misses of both
+fuzz_tokens = st.one_of(
+    st.integers(-3, 3).map(str),
+    st.tuples(st.integers(-3, 3), st.integers(0, 3)).map(lambda pq: f"{pq[0]}/{pq[1]}"),
+    st.sampled_from(("", "x", "1.5", "1e3", "²", "+1", "--1", "1/", "/2", "1//2")),
+)
+
+
+@st.composite
+def mutated_texts(draw, seeds, max_edits: int = 3) -> str:
+    """One of ``seeds`` after 1..max_edits random edits, each deleting,
+    inserting or replacing one character, swapping one whitespace-separated
+    token for a ``fuzz_tokens`` draw, or duplicating or dropping one line."""
+    text = draw(st.sampled_from(seeds))
+    # token swaps reach the number parsers most directly, so they count double
+    edits = ("delete", "insert", "replace", "token", "token", "duplicate", "drop")
+    for _ in range(draw(st.integers(1, max_edits))):
+        edit = draw(st.sampled_from(edits))
+        if edit == "token":
+            # odd positions are the separating whitespace runs
+            pieces = re.split(r"(\s+)", text)
+            k = 2 * draw(st.integers(0, len(pieces) // 2))
+            pieces[k] = draw(fuzz_tokens)
+            text = "".join(pieces)
+        elif edit in ("duplicate", "drop"):
+            lines = text.splitlines(keepends=True)
+            if lines:
+                k = draw(st.integers(0, len(lines) - 1))
+                lines[k:k + 1] = [lines[k]] * (2 if edit == "duplicate" else 0)
+                text = "".join(lines)
+        else:
+            pos = draw(st.integers(0, len(text)))
+            char = "" if edit == "delete" else draw(st.sampled_from(FUZZ_ALPHABET))
+            text = text[:pos] + char + text[pos + (edit != "insert"):]
+    return text
 
 
 def crossing_edge_load(r: CrossingRouting, k: int, choices=None) -> Fraction:
@@ -170,7 +229,7 @@ def gray_code_unsplittable(instance: RingInstance, base_cw, free) -> tuple[Fract
     n = instance.n
     demands = instance.demands
     free_set = set(free)
-    denom, loads = scaled_arc_loads(n, (
+    denom, loads = scaled_ring_loads(n, (
         (i, j, Fraction(0), value) if t in free_set else (i, j, base_cw[t], value - base_cw[t])
         for t, (i, j, value) in enumerate(demands)
     ))
@@ -301,7 +360,7 @@ def naive_uncross(s: GeneralSplitRouting):
         for t, (i, j, value) in enumerate(demands):
             yield i, j, cw[t], value - cw[t]
 
-    denom, before = scaled_arc_loads(n, arcs())
+    denom, before = scaled_ring_loads(n, arcs())
 
     def pick_pair():
         split = [t for t in range(len(demands)) if 0 < cw[t] < demands[t][2]]
@@ -347,7 +406,7 @@ def naive_uncross(s: GeneralSplitRouting):
         steps.append(UncrossStep(sa, sb, pa, pb, amount))
         # at least one demand came off the fence
         assert not (0 < cw[sa] < da) or not (0 < cw[sb] < db)
-        new_denom, after = scaled_arc_loads(n, arcs())
+        new_denom, after = scaled_ring_loads(n, arcs())
         # x / new_denom <= y / denom, cross-multiplied
         assert all(
             x * denom <= y * new_denom for x, y in zip(after, before)
@@ -442,6 +501,17 @@ def resimulate_backward(r: CrossingRouting, y: Fraction) -> int:
     return mask
 
 
+def pattern_delta(p: Pattern) -> tuple[Fraction, ...]:
+    """Signed per-edge load change of switching the split routing to the
+    unsplittable routing encoded by ``p.choices``: edge k (k in 1..m)
+    changes by (sum of steps up to k) - (sum of steps after k), edge k+m
+    by the negation."""
+    prefixes = p.prefix_values
+    x, y = prefixes[0], prefixes[-1]
+    first = [2 * prefixes[k] - x - y for k in range(1, len(prefixes))]
+    return tuple(first + [-t for t in first])
+
+
 def check_trace_replay(result) -> int:
     """Assert, for EVERY rerouting mask of a non-trivial reduction, that
     lifting it back changes each original edge's load by exactly the
@@ -452,7 +522,7 @@ def check_trace_replay(result) -> int:
     n = trace.base.instance.n
     for choices in range(1 << r.m):
         lifted = trace.lift(choices).loads().loads
-        delta = pattern_delta(Pattern(r, choices, Fraction(0))).loads
+        delta = pattern_delta(Pattern(r, choices, Fraction(0)))
         for k in range(1, n + 1):
             assert lifted[k - 1] - base_loads[k - 1] == delta[trace.edge_images[k - 1] - 1]
     return 1 << r.m

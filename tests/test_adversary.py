@@ -30,7 +30,13 @@ from ringload import (
 )
 from ringload import adversary
 from ringload.exact import _lowest_performance
-from support import fraction_ascend, naive_min_performance, naive_performance, tie_heavy
+from support import (
+    fraction_ascend,
+    mutated_texts,
+    naive_min_performance,
+    naive_performance,
+    tie_heavy,
+)
 
 
 @pytest.mark.parametrize("m", [2, 3, 4, 5])
@@ -293,3 +299,12 @@ def test_builtin_catalog():
     assert catalog["tight_even"](6) == catalog["tight6"]()
     # the alternate split carries the same demand values
     assert sorted(seven18_alt().demand_values) == sorted(seven18().demand_values)
+
+
+@settings(max_examples=300)
+@given(mutated_texts((render_lp(build_milp(2)),)))
+def test_parse_lp_fails_only_with_parse_error(text):
+    try:
+        parse_lp(text)
+    except ParseError:
+        pass

@@ -7,10 +7,12 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
 
 import ringload
-from ringload import GuaranteeViolated, skutella8, tight3
+from ringload import GuaranteeViolated, ParseError, skutella8, tight3
 from ringload.cli import load_input, main, parse_input_text
+from support import mutated_texts
 
 
 def run(capsys, *argv):
@@ -169,6 +171,41 @@ def test_parse_rejects(tmp_path, capsys, text):
     code, out, err = run(capsys, "verify", str(path))
     assert code == 2
     assert err.startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "text", ["ring 4\ndemand 1 2 1/0\n", "split 1\npair 1/0 1\n"], ids=["ring", "split"]
+)
+def test_zero_denominator_input_exits_2(tmp_path, capsys, text):
+    path = tmp_path / "bad.txt"
+    path.write_text(text)
+    code, _, err = run(capsys, "round", str(path))
+    assert code == 2
+    assert "zero denominator" in err
+
+
+def test_zero_denominator_option_exits_2(capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["gen", "skutella8", "--eps", "1/0"])
+    assert info.value.code == 2
+    assert "zero denominator" in capsys.readouterr().err
+
+
+FUZZ_SEEDS = (
+    "ring 8\ndemand 1 5 7/2\ndemand 2 6 4 1  # clockwise part 1\ndemand 3 4 1 0\n",
+    "ring 8\ndemand 1 2 4 2\ndemand 1 5 4 3\ndemand 1 8 4 2\ndemand 4 7 4 3\n",
+    "split 2\npair 3 1\npair 1/2 5/2\n",
+    "# three crossing demands\nsplit 3\npair 19/8 3\n\npair 22/7 8\npair 29/2 22\n",
+)
+
+
+@settings(max_examples=1000)
+@given(mutated_texts(FUZZ_SEEDS))
+def test_parse_input_text_fails_only_with_parse_error(text):
+    try:
+        parse_input_text(text)
+    except ParseError:
+        pass
 
 
 def test_missing_file_and_unknown_name(tmp_path, capsys):

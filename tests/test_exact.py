@@ -142,9 +142,7 @@ def test_unsplittable_optimum_matches_gray_code(g):
     # every other demand free and the rest kept at their given split, so
     # loaded edges can lie before the first free endpoint (the wrapping run)
     free = positive[1::2]
-    value, witness = exact._enumerate_unsplittable(
-        instance, list(g.clockwise), free, exact.DEFAULT_CAP
-    )
+    value, witness = exact._enumerate_unsplittable(g, free, exact.DEFAULT_CAP)
     expected = gray_code_unsplittable(instance, list(g.clockwise), free)
     assert (value, witness.clockwise) == expected
 

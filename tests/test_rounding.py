@@ -348,6 +348,44 @@ def _delta_class_spread(monkeypatch):
     r.classify_delta()
 
 
+def _crossover_tweaked(monkeypatch, make):
+    # `make` builds the spliced pattern in place of `Pattern`
+    monkeypatch.setattr(ringload.rounding, "Pattern", make)
+    r = tight3()
+    crossover(Pattern(r, 0b011, Fraction(0)), Pattern(r, 0b110, Fraction(1)))
+
+
+class _WideStrip(Pattern):
+    """A pattern whose reported strip reaches far below its walk."""
+
+    @property
+    def strip(self):
+        lo, hi = super().strip
+        return lo - 1000, hi
+
+
+def _round_upper_inner_bound(monkeypatch):
+    # the first pinned golden routing takes the induced branch; its inner
+    # rounding now claims a weaker certificate than round_upper's
+    real = ringload.rounding.round_via_induced
+
+    def fake(*args, **kwargs):
+        inner = real(*args, **kwargs)
+        weaker = inner.certified_bound + 1
+        return BoundedRounding(inner.pattern, weaker, inner.realized, inner.method)
+
+    monkeypatch.setattr(ringload.rounding, "round_via_induced", fake)
+    r = GOLDEN_PINNED[0]
+    round_upper(r, r.classify_delta().value)
+
+
+def _round_main_dispatch_bound(monkeypatch):
+    # both branches hand back the 3/2 baseline certificate
+    monkeypatch.setattr(ringload.rounding, "round_medium", lambda r, delta: ssw_round(r))
+    monkeypatch.setattr(ringload.rounding, "round_upper", lambda r, delta: ssw_round(r))
+    round_main(tight3())
+
+
 GUARANTEE_CASES = {
     "forward_strip": lambda mp: _greedy_leaves_strip(mp, forward_greedy),
     "backward_strip": lambda mp: _greedy_leaves_strip(mp, backward_greedy),
@@ -369,6 +407,12 @@ GUARANTEE_CASES = {
     "upper_base_end": lambda mp: _round_upper_base(mp, False),
     "upper_base_start": lambda mp: _round_upper_base(mp, True),
     "delta_class_spread": _delta_class_spread,
+    "crossover_anchor_sum": lambda mp: _crossover_tweaked(
+        mp, lambda r, choices, start: Pattern(r, choices, start + 1)
+    ),
+    "crossover_strip": lambda mp: _crossover_tweaked(mp, _WideStrip),
+    "upper_inner_bound": _round_upper_inner_bound,
+    "main_dispatch_bound": _round_main_dispatch_bound,
 }
 
 
