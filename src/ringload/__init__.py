@@ -37,7 +37,6 @@ from .core import (
     DeltaClass,
     LoadProfile,
     Pattern,
-    Rational,
     RingInstance,
     additive_performance,
     split_loads,
@@ -45,13 +44,8 @@ from .core import (
     unsplittable_loads,
 )
 from .errors import (
-    BoundViolated,
     GuaranteeViolated,
-    InvalidEnd,
-    InvalidStart,
-    LengthMismatch,
     MalformedRouting,
-    NotEqualized,
     ParameterOutOfRange,
     ParseError,
     RingLoadingError,

@@ -24,26 +24,26 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from random import Random
-from typing import NamedTuple
+from typing import ClassVar, NamedTuple
 
 from .core import CrossingRouting, Pattern, to_rational
 from .errors import GuaranteeViolated, ParameterOutOfRange, ParseError
 from .exact import _lowest_performance, min_additive_performance
 
 CONTINUOUS = "continuous"
+FREE = "free"
 BINARY = "binary"
 
 
 @dataclass(frozen=True)
 class MilpVariable:
-    """``lower``/``upper`` of None mean unbounded on that side; plain
-    continuous variables default to [0, inf) as in LP files."""
+    """A ``continuous`` variable is >= 0 as in LP files, a ``free`` one
+    unbounded and a ``binary`` one 0 or 1."""
 
     name: str
     kind: str = CONTINUOUS
-    lower: int | None = 0
-    upper: int | None = None
 
 
 @dataclass(frozen=True)
@@ -56,19 +56,6 @@ class LinearConstraint:
     rhs: int
 
 
-@dataclass(frozen=True)
-class MilpModel:
-    m: int
-    reduce_vars: bool
-    symmetry_break: bool
-    variables: tuple[MilpVariable, ...]
-    constraints: tuple[LinearConstraint, ...]
-    objective: tuple[tuple[int, str], ...] = ((1, "E"),)
-
-    def binary_names(self) -> tuple[str, ...]:
-        return tuple(v.name for v in self.variables if v.kind == BINARY)
-
-
 def _mask_label(mask: int, m: int) -> str:
     return format(mask, f"0{(m + 3) // 4}x")
 
@@ -76,55 +63,64 @@ def _mask_label(mask: int, m: int) -> str:
 def kept_selectors(m: int, mask: int, reduce_vars: bool) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Indicator indices kept for the walk minimum and maximum.
 
-    Unreduced, both families run over 0..m.  Reduced, an index survives
-    only where the walk can turn: the minimum needs a down-to-up corner
-    (or a matching border), the maximum an up-to-down one.  Every argmin
-    (argmax) plateau contains such a corner even with zero-valued steps,
-    so the reduction never cuts off the true extreme.
+    Unreduced, both families run over 0..m.  Reduced, index i is a
+    candidate minimum when the step into it is not up and the step out
+    of it is not down; the maximum is the mirror image, and a border
+    counts as either kind of step.  Every argmin (argmax) plateau
+    contains such an index even with zero-valued steps, so the
+    reduction never cuts off the true extreme.
     """
     if not reduce_vars:
         full = tuple(range(m + 1))
         return full, full
 
-    def bit(i: int) -> int:
-        return mask >> (i - 1) & 1
+    def step(k: int) -> int | None:
+        """1 for an up step k, 0 for a down one, None past a border."""
+        return mask >> (k - 1) & 1 if 1 <= k <= m else None
 
-    keep_min = []
-    keep_max = []
-    for i in range(m + 1):
-        if i == 0:
-            up_next = bit(1) == 1
-            if up_next:
-                keep_min.append(i)
-            else:
-                keep_max.append(i)
-        elif i == m:
-            if bit(m) == 0:
-                keep_min.append(i)
-            else:
-                keep_max.append(i)
-        else:
-            if bit(i) == 0 and bit(i + 1) == 1:
-                keep_min.append(i)
-            elif bit(i) == 1 and bit(i + 1) == 0:
-                keep_max.append(i)
-    return tuple(keep_min), tuple(keep_max)
+    keep_min = tuple(i for i in range(m + 1) if step(i) != 1 and step(i + 1) != 0)
+    keep_max = tuple(i for i in range(m + 1) if step(i) != 0 and step(i + 1) != 1)
+    return keep_min, keep_max
+
+
+@dataclass(frozen=True)
+class MilpModel:
+    """A model is its size, its two switches and its rows; the variable
+    declarations follow from the size and ``reduce_vars``."""
+
+    m: int
+    reduce_vars: bool
+    symmetry_break: bool
+    constraints: tuple[LinearConstraint, ...]
+    objective: ClassVar[tuple[tuple[int, str], ...]] = ((1, "E"),)
+
+    @cached_property
+    def variables(self) -> tuple[MilpVariable, ...]:
+        m = self.m
+        out = [MilpVariable(f"{side}_{i}") for side in "uv" for i in range(1, m + 1)]
+        out.append(MilpVariable("E"))
+        for z in range(1 << m):
+            h = _mask_label(z, m)
+            keep_min, keep_max = kept_selectors(m, z, self.reduce_vars)
+            out += (
+                MilpVariable(f"a_{h}", FREE),  # walk minimum can be negative
+                MilpVariable(f"b_{h}"),
+                MilpVariable(f"y_{h}", FREE),  # walk end can be negative
+                MilpVariable(f"c_{h}"),
+                MilpVariable(f"w_{h}", BINARY),
+            )
+            out += (MilpVariable(f"wmin_{h}_{i}", BINARY) for i in keep_min)
+            out += (MilpVariable(f"wmax_{h}_{i}", BINARY) for i in keep_max)
+        return tuple(out)
+
+    def binary_names(self) -> tuple[str, ...]:
+        return tuple(v.name for v in self.variables if v.kind == BINARY)
 
 
 def _prefix_terms(mask: int, i: int) -> list[tuple[int, str]]:
-    """Terms of the walk prefix after step i: +v_j for set bits, -u_j
-    for clear ones."""
-    out = []
-    for j in range(1, i + 1):
-        if mask >> (j - 1) & 1:
-            out.append((1, f"v_{j}"))
-        else:
-            out.append((-1, f"u_{j}"))
-    return out
-
-
-def _negate(terms) -> list[tuple[int, str]]:
-    return [(-c, name) for c, name in terms]
+    """Terms subtracting the walk prefix after step i: -v_j for set
+    bits, +u_j for clear ones."""
+    return [(-1, f"v_{j}") if mask >> (j - 1) & 1 else (1, f"u_{j}") for j in range(1, i + 1)]
 
 
 def build_milp(m: int, *, reduce_vars: bool = True, symmetry_break: bool = True) -> MilpModel:
@@ -135,24 +131,6 @@ def build_milp(m: int, *, reduce_vars: bool = True, symmetry_break: bool = True)
     lab = {z: _mask_label(z, m) for z in masks}
     kept = {z: kept_selectors(m, z, reduce_vars) for z in masks}
 
-    variables: list[MilpVariable] = []
-    for i in range(1, m + 1):
-        variables.append(MilpVariable(f"u_{i}"))
-    for i in range(1, m + 1):
-        variables.append(MilpVariable(f"v_{i}"))
-    variables.append(MilpVariable("E"))
-    for z in masks:
-        h = lab[z]
-        variables.append(MilpVariable(f"a_{h}", lower=None))  # walk minimum can be negative
-        variables.append(MilpVariable(f"b_{h}"))
-        variables.append(MilpVariable(f"y_{h}", lower=None))  # walk end can be negative
-        variables.append(MilpVariable(f"c_{h}"))
-        variables.append(MilpVariable(f"w_{h}", kind=BINARY, upper=1))
-        for i in kept[z][0]:
-            variables.append(MilpVariable(f"wmin_{h}_{i}", kind=BINARY, upper=1))
-        for i in kept[z][1]:
-            variables.append(MilpVariable(f"wmax_{h}_{i}", kind=BINARY, upper=1))
-
     cons: list[LinearConstraint] = []
     for z in masks:
         cons.append(
@@ -162,11 +140,11 @@ def build_milp(m: int, *, reduce_vars: bool = True, symmetry_break: bool = True)
         cons.append(LinearConstraint(f"feas_{i}", ((1, f"u_{i}"), (1, f"v_{i}")), "<=", 1))
     for z in masks:
         for i in range(m + 1):
-            terms = [(1, f"a_{lab[z]}")] + _negate(_prefix_terms(z, i))
+            terms = [(1, f"a_{lab[z]}")] + _prefix_terms(z, i)
             cons.append(LinearConstraint(f"min_ub_{lab[z]}_{i}", tuple(terms), "<=", 0))
     for z in masks:
         for i in kept[z][0]:
-            terms = [(1, f"a_{lab[z]}")] + _negate(_prefix_terms(z, i))
+            terms = [(1, f"a_{lab[z]}")] + _prefix_terms(z, i)
             terms.append((-m, f"wmin_{lab[z]}_{i}"))
             cons.append(LinearConstraint(f"min_lb_{lab[z]}_{i}", tuple(terms), ">=", -m))
     for z in masks:
@@ -174,18 +152,18 @@ def build_milp(m: int, *, reduce_vars: bool = True, symmetry_break: bool = True)
         cons.append(LinearConstraint(f"minsel_{lab[z]}", terms, ">=", 1))
     for z in masks:
         for i in range(m + 1):
-            terms = [(1, f"b_{lab[z]}")] + _negate(_prefix_terms(z, i))
+            terms = [(1, f"b_{lab[z]}")] + _prefix_terms(z, i)
             cons.append(LinearConstraint(f"max_lb_{lab[z]}_{i}", tuple(terms), ">=", 0))
     for z in masks:
         for i in kept[z][1]:
-            terms = [(1, f"b_{lab[z]}")] + _negate(_prefix_terms(z, i))
+            terms = [(1, f"b_{lab[z]}")] + _prefix_terms(z, i)
             terms.append((m, f"wmax_{lab[z]}_{i}"))
             cons.append(LinearConstraint(f"max_ub_{lab[z]}_{i}", tuple(terms), "<=", m))
     for z in masks:
         terms = tuple((1, f"wmax_{lab[z]}_{i}") for i in kept[z][1])
         cons.append(LinearConstraint(f"maxsel_{lab[z]}", terms, ">=", 1))
     for z in masks:
-        terms = [(1, f"y_{lab[z]}")] + _negate(_prefix_terms(z, m))
+        terms = [(1, f"y_{lab[z]}")] + _prefix_terms(z, m)
         cons.append(LinearConstraint(f"end_{lab[z]}", tuple(terms), "=", 0))
     for z in masks:
         h = lab[z]
@@ -220,7 +198,7 @@ def build_milp(m: int, *, reduce_vars: bool = True, symmetry_break: bool = True)
         for i in range(1, m + 1):
             cons.append(LinearConstraint(f"sym_v_{i}", ((1, "u_1"), (-1, f"v_{i}")), "<=", 0))
 
-    return MilpModel(m, reduce_vars, symmetry_break, tuple(variables), tuple(cons))
+    return MilpModel(m, reduce_vars, symmetry_break, tuple(cons))
 
 
 def _render_terms(terms) -> str:
@@ -247,7 +225,7 @@ def render_lp(model: MilpModel) -> str:
         lines.append(f" {con.name}: {_render_terms(con.terms)} {con.sense} {con.rhs}")
     lines.append("Bounds")
     for var in model.variables:
-        if var.kind == CONTINUOUS and var.lower is None and var.upper is None:
+        if var.kind == FREE:
             lines.append(f" {var.name} free")
     lines.append("Binaries")
     for var in model.variables:
@@ -294,11 +272,15 @@ def _parse_terms(text: str) -> tuple[tuple[int, str], ...]:
 
 
 def parse_lp(text: str) -> MilpModel:
-    """Parse LP text produced by render_lp back into an equal model."""
+    """Parse LP text produced by render_lp back into an equal model.
+
+    The size and both switches are read off the rows; declarations and
+    an objective other than those render_lp would write are refused.
+    """
     section = None
     objective = None
     constraints: list[LinearConstraint] = []
-    free_names: set[str] = set()
+    free_names: list[str] = []
     binary_names: list[str] = []
     for raw in text.splitlines():
         line = raw.strip()
@@ -314,6 +296,8 @@ def parse_lp(text: str) -> MilpModel:
             name, _, expr = line.partition(":")
             if name.strip() != "obj":
                 raise ParseError(f"expected objective 'obj', got {name.strip()!r}")
+            if objective is not None:
+                raise ParseError(f"second objective line: {line!r}")
             objective = _parse_terms(expr)
         elif section == "Subject To":
             match = _CONSTRAINT_RE.match(line)
@@ -324,7 +308,7 @@ def parse_lp(text: str) -> MilpModel:
         elif section == "Bounds":
             parts = line.split()
             if len(parts) == 2 and parts[1] == "free" and _NAME_RE.match(parts[0]):
-                free_names.add(parts[0])
+                free_names.append(parts[0])
             else:
                 raise ParseError(f"unsupported bounds line: {line!r}")
         elif section == "Binaries":
@@ -337,43 +321,23 @@ def parse_lp(text: str) -> MilpModel:
             raise ParseError(f"content before any section: {line!r}")
     if objective is None:
         raise ParseError("missing objective")
+    if objective != MilpModel.objective:
+        raise ParseError(f"objective must be 'E', got {objective!r}")
 
     m = sum(1 for con in constraints if con.name.startswith("feas_"))
-    if m == 0:
-        raise ParseError("no feasibility rows; cannot recover the model size")
-    binary_set = set(binary_names)
-    reduce_vars = len(binary_set) < (2 * m + 3) * (1 << m)
+    if not 2 <= m <= 12:
+        raise ParseError(f"{m} feasibility rows; the model size must be in [2, 12]")
+    reduce_vars = len(binary_names) < (2 * m + 3) * (1 << m)
     symmetry_break = any(con.name.startswith("sym_") for con in constraints)
-
-    variables: list[MilpVariable] = []
-    for i in range(1, m + 1):
-        variables.append(MilpVariable(f"u_{i}"))
-    for i in range(1, m + 1):
-        variables.append(MilpVariable(f"v_{i}"))
-    variables.append(MilpVariable("E"))
-    for z in range(1 << m):
-        h = _mask_label(z, m)
-        for prefix in ("a", "b", "y", "c"):
-            name = f"{prefix}_{h}"
-            lower = None if name in free_names else 0
-            variables.append(MilpVariable(name, lower=lower))
-        variables.append(MilpVariable(f"w_{h}", kind=BINARY, upper=1))
-        for i in range(m + 1):
-            name = f"wmin_{h}_{i}"
-            if name in binary_set:
-                variables.append(MilpVariable(name, kind=BINARY, upper=1))
-        for i in range(m + 1):
-            name = f"wmax_{h}_{i}"
-            if name in binary_set:
-                variables.append(MilpVariable(name, kind=BINARY, upper=1))
-
-    model = MilpModel(
-        m, reduce_vars, symmetry_break, tuple(variables), tuple(constraints), objective
-    )
-    rebuilt = {v.name for v in model.variables}
+    model = MilpModel(m, reduce_vars, symmetry_break, tuple(constraints))
+    if free_names != [v.name for v in model.variables if v.kind == FREE]:
+        raise ParseError(f"free declarations differ from those of a size-{m} model")
+    if binary_names != list(model.binary_names()):
+        raise ParseError(f"binary declarations differ from those of a size-{m} model")
+    declared = {v.name for v in model.variables}
     used = {name for con in constraints for _, name in con.terms}
-    if not used <= rebuilt:
-        raise ParseError(f"constraints mention unknown variables: {sorted(used - rebuilt)}")
+    if not used <= declared:
+        raise ParseError(f"constraints mention unknown variables: {sorted(used - declared)}")
     return model
 
 
@@ -392,12 +356,13 @@ def max_feasible_performance(model: MilpModel, r: CrossingRouting) -> Fraction:
     # U[i] / scale, walks come in the same units, and a binary 1 is `scale`
     _, us, vs = r.scaled
     scale = max(a + b for a, b in zip(us, vs))
-    values: dict[str, int] = {}
+    # unchosen selectors stay 0
+    values = dict.fromkeys((v.name for v in model.variables), 0)
     for i in range(1, model.m + 1):
         values[f"u_{i}"] = us[i - 1]
         values[f"v_{i}"] = vs[i - 1]
 
-    best: int | None = None
+    perfs = []
     zero = Fraction(0)
     for z in range(1 << model.m):
         h = _mask_label(z, model.m)
@@ -417,12 +382,10 @@ def max_feasible_performance(model: MilpModel, r: CrossingRouting) -> Fraction:
             raise GuaranteeViolated(f"reduction lost every argmin selector of mask {h}")
         if not max_at:
             raise GuaranteeViolated(f"reduction lost every argmax selector of mask {h}")
-        for i in keep_min:
-            values[f"wmin_{h}_{i}"] = scale if i == min_at[0] else 0
-        for i in keep_max:
-            values[f"wmax_{h}_{i}"] = scale if i == max_at[0] else 0
-        best = perf if best is None else min(best, perf)
-    assert best is not None
+        values[f"wmin_{h}_{min_at[0]}"] = scale
+        values[f"wmax_{h}_{max_at[0]}"] = scale
+        perfs.append(perf)
+    best = min(perfs)
     values["E"] = best
 
     for con in model.constraints:

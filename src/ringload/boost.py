@@ -30,7 +30,7 @@ from typing import ClassVar, Union
 
 from .core import CrossingRouting, LoadProfile, RingInstance, ccw_edges, cw_edges
 from .core import integer_arc_loads
-from .errors import BoundViolated, GuaranteeViolated
+from .errors import GuaranteeViolated
 from .reduce import GeneralSplitRouting
 
 
@@ -216,7 +216,7 @@ class BoostReport:
 def verify_boost(b: BoostedInstance, cap: int | None = None) -> BoostReport:
     """Check L - L* >= min additive performance of the source, exactly.
 
-    Raises BoundViolated if the enumeration contradicts the bound, which
+    Raises GuaranteeViolated if the enumeration contradicts the bound, which
     would mean the construction (not the inputs) is broken.
     """
     from . import exact  # local import: exact consumes boosted instances
@@ -226,7 +226,7 @@ def verify_boost(b: BoostedInstance, cap: int | None = None) -> BoostReport:
     split_opt = exact.split_optimum_boosted(b)
     unsplit_opt, _ = exact.optimal_unsplittable_boosted(b, **kwargs)
     if unsplit_opt - split_opt < perf:
-        raise BoundViolated(
+        raise GuaranteeViolated(
             f"unsplittable optimum {unsplit_opt} minus split optimum {split_opt} "
             f"falls below the source performance {perf}"
         )

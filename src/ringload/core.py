@@ -27,8 +27,6 @@ from math import lcm
 
 from .errors import GuaranteeViolated, MalformedRouting
 
-Rational = Fraction
-
 
 def to_rational(value) -> Fraction:
     """Coerce int/Fraction to Fraction, rejecting floats and strings.
@@ -205,13 +203,6 @@ class Pattern:
                 f"choices {self.choices:#x} out of range for m={self.routing.m}"
             )
         object.__setattr__(self, "start", to_rational(self.start))
-
-    @property
-    def steps(self) -> tuple[Fraction, ...]:
-        r = self.routing
-        return tuple(
-            r.v[i] if self.choices >> i & 1 else -r.u[i] for i in range(r.m)
-        )
 
     @cached_property
     def walk(self) -> tuple[int, ...]:

@@ -9,18 +9,6 @@ class MalformedRouting(RingLoadingError):
     """An instance or routing violates a structural invariant."""
 
 
-class InvalidStart(RingLoadingError):
-    """Forward construction anchored outside the feasible strip."""
-
-
-class InvalidEnd(RingLoadingError):
-    """Backward construction anchored outside the feasible strip."""
-
-
-class LengthMismatch(RingLoadingError):
-    """Two patterns that must share a routing do not."""
-
-
 class GuaranteeViolated(RingLoadingError):
     """A certified bound or a guaranteed construction step failed.
 
@@ -31,14 +19,6 @@ class GuaranteeViolated(RingLoadingError):
 
 class TooLarge(RingLoadingError):
     """An exhaustive enumeration was requested above its size cap."""
-
-
-class BoundViolated(RingLoadingError):
-    """A verification step found a value outside its proven bound."""
-
-
-class NotEqualized(RingLoadingError):
-    """A construction that must produce uniform edge loads did not."""
 
 
 class ParameterOutOfRange(RingLoadingError):

@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 from .core import CrossingRouting, Pattern, RingInstance, split_loads
 from .core import integer_arc_loads
-from .errors import GuaranteeViolated, NotEqualized, TooLarge
+from .errors import GuaranteeViolated, TooLarge
 from .reduce import GeneralSplitRouting
 
 DEFAULT_CAP = 24
@@ -212,7 +212,7 @@ def split_optimum_boosted(boosted) -> Fraction:
     profile = boosted.canonical_loads
     first = profile.loads[0]
     if any(x != first for x in profile):
-        raise NotEqualized(
+        raise GuaranteeViolated(
             f"canonical configuration loads {tuple(profile)} are not all equal"
         )
     return first

@@ -18,7 +18,7 @@ from fractions import Fraction
 from math import lcm
 
 from .core import CrossingRouting, Pattern, to_rational
-from .errors import GuaranteeViolated, InvalidEnd, InvalidStart
+from .errors import GuaranteeViolated, ParameterOutOfRange
 
 FORWARD = "forward"
 BACKWARD = "backward"
@@ -45,7 +45,7 @@ def forward_greedy(r: CrossingRouting, x) -> Pattern:
     big = r.max_demand
     x = to_rational(x)
     if not 0 <= x <= big:
-        raise InvalidStart(f"start {x} outside [0, {big}]")
+        raise ParameterOutOfRange(f"start {x} outside [0, {big}]")
     _, us, vs = r.scaled
     _, k, top, cur = _scale(r, x)
     choices = 0
@@ -68,7 +68,7 @@ def backward_greedy(r: CrossingRouting, y) -> Pattern:
     big = r.max_demand
     y = to_rational(y)
     if not 0 <= y <= big:
-        raise InvalidEnd(f"end {y} outside [0, {big}]")
+        raise ParameterOutOfRange(f"end {y} outside [0, {big}]")
     _, us, vs = r.scaled
     s, k, top, cur = _scale(r, y)
     end = cur

@@ -53,13 +53,6 @@ class GeneralSplitRouting:
     def from_crossing(cls, r: CrossingRouting) -> "GeneralSplitRouting":
         return cls(r.to_ring_instance(), r.u)
 
-    @property
-    def counter_clockwise(self) -> tuple[Fraction, ...]:
-        return tuple(
-            value - part
-            for part, (_, _, value) in zip(self.clockwise, self.instance.demands)
-        )
-
     def split_indices(self) -> tuple[int, ...]:
         """0-based indices of demands with positive flow both ways."""
         return tuple(

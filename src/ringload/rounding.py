@@ -32,7 +32,7 @@ from .core import (
     additive_performance,
     to_rational,
 )
-from .errors import GuaranteeViolated, LengthMismatch, ParameterOutOfRange
+from .errors import GuaranteeViolated, ParameterOutOfRange
 from .greedy import BACKWARD, FORWARD, backward_greedy, forward_greedy, is_proper
 
 
@@ -86,18 +86,10 @@ def closeness(p1: Pattern, p2: Pattern) -> tuple[Fraction, int]:
     """Smallest pointwise distance between two prefix walks on the same
     routing, with the first index attaining it (0..m)."""
     if p1.routing != p2.routing:
-        raise LengthMismatch("patterns live on different routings")
-    a = p1.prefix_values
-    b = p2.prefix_values
-    best = None
-    where = 0
-    for k, (x, y) in enumerate(zip(a, b)):
-        gap = abs(x - y)
-        if best is None or gap < best:
-            best = gap
-            where = k
-    assert best is not None
-    return best, where
+        raise ParameterOutOfRange("patterns live on different routings")
+    # equal gaps compare on the index, so the first one wins
+    pairs = zip(p1.prefix_values, p2.prefix_values)
+    return min((abs(x - y), k) for k, (x, y) in enumerate(pairs))
 
 
 def crossover(p1: Pattern, p2: Pattern) -> Pattern:
@@ -144,11 +136,10 @@ def round_via_induced(
     r: CrossingRouting,
     pa: Pattern,
     delta,
-    *,
-    pa_direction: str = BACKWARD,
 ) -> BoundedRounding:
-    """Combine a proper base pattern with its two induced greedy patterns
-    into one whose performance is at most D + |D - (xa+ya)|/3 + delta*D/2.
+    """Combine a backward-proper base pattern with its two induced greedy
+    patterns into one whose performance is at most
+    D + |D - (xa+ya)|/3 + delta*D/2.
 
     Either one of the induced patterns already starts (ends) close enough
     to its mirrored end (start) to qualify alone, or two of the three
@@ -162,7 +153,7 @@ def round_via_induced(
     lo, hi = pa.strip
     if lo < 0 or hi > big:
         raise GuaranteeViolated(f"base pattern strip [{lo}, {hi}] leaves [0, {big}]")
-    if not is_proper(pa, pa_direction, delta):
+    if not is_proper(pa, BACKWARD, delta):
         raise GuaranteeViolated("base pattern anchor is not proper")
     pb, pc = induced_patterns(r, pa)
     if not is_proper(pb, FORWARD, delta):
@@ -331,7 +322,7 @@ def round_upper(r: CrossingRouting, delta) -> BoundedRounding:
             base, certified, additive_performance(base), RoundingMethod.UPPER
         )
     else:
-        inner = round_via_induced(work, base, delta, pa_direction=BACKWARD)
+        inner = round_via_induced(work, base, delta)
         if inner.certified_bound > certified:
             raise GuaranteeViolated(
                 f"induced rounding certifies {inner.certified_bound}, above {certified}"

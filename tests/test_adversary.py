@@ -29,6 +29,7 @@ from ringload import (
     tight_even,
 )
 from ringload import adversary
+from ringload.adversary import _parse_terms
 from ringload.exact import _lowest_performance
 from support import (
     fraction_ascend,
@@ -92,6 +93,9 @@ def test_lp_round_trip(m, reduce_vars, symmetry_break):
     assert render_lp(back) == text
 
 
+M2_TEXT = render_lp(build_milp(2))
+
+
 @pytest.mark.parametrize(
     "text",
     [
@@ -105,6 +109,20 @@ def test_lp_round_trip(m, reduce_vars, symmetry_break):
         "Maximize\n obj: E\nEnd\n trailing\n",
         "Subject To\n feas_1: u_1 + v_1 <= 1\nEnd\n",
         "Maximize\n obj: ² E\nSubject To\nEnd\n",
+        # declarations and objectives render_lp would not write
+        pytest.param(M2_TEXT.replace("Binaries\n", "Binaries\n zzz\n"), id="extra-binary"),
+        pytest.param(M2_TEXT.replace("Bounds\n", "Bounds\n qq free\n"), id="extra-free"),
+        pytest.param(M2_TEXT.replace("Bounds\n", "Bounds\n u_1 free\n"), id="free-u_1"),
+        pytest.param(M2_TEXT.replace(" a_0 free\n", ""), id="missing-free"),
+        pytest.param(M2_TEXT.replace(" w_0\n", ""), id="missing-binary"),
+        pytest.param(M2_TEXT.replace("obj: E", "obj: 2 E"), id="objective-2E"),
+        pytest.param(M2_TEXT.replace(" obj: E\n", " obj: E\n obj: E\n"), id="two-objectives"),
+        pytest.param(
+            "Maximize\n obj: E\nSubject To\n"
+            + "".join(f" feas_{i}: u_{i} + v_{i} <= 1\n" for i in range(1, 14))
+            + "End\n",
+            id="size-13",
+        ),
     ],
 )
 def test_parse_lp_rejects(text):
@@ -301,10 +319,32 @@ def test_builtin_catalog():
     assert sorted(seven18_alt().demand_values) == sorted(seven18().demand_values)
 
 
+def declarations(text):
+    """Objective terms, free names and binary names of LP text, read
+    line by line the way parse_lp skips blanks and comments."""
+    found = {"Maximize": [], "Bounds": [], "Binaries": []}
+    section = None
+    for raw in text.splitlines():
+        line = raw.strip()
+        if not line or line.startswith(("\\", "*")):
+            continue
+        if line in ("Maximize", "Subject To", "Bounds", "Binaries", "End"):
+            section = line
+        elif section in found:
+            found[section].append(line)
+    return (
+        [_parse_terms(line.partition(":")[2]) for line in found["Maximize"]],
+        [line.split() for line in found["Bounds"]],
+        found["Binaries"],
+    )
+
+
 @settings(max_examples=300)
-@given(mutated_texts((render_lp(build_milp(2)),)))
+@given(mutated_texts((M2_TEXT,)))
 def test_parse_lp_fails_only_with_parse_error(text):
     try:
-        parse_lp(text)
+        model = parse_lp(text)
     except ParseError:
-        pass
+        return
+    # an accepted text declares exactly what its model renders
+    assert declarations(text) == declarations(render_lp(model))

@@ -8,7 +8,6 @@ from hypothesis import given, settings
 
 from ringload import (
     BoostedInstance,
-    BoundViolated,
     CrossingRouting,
     GuaranteeViolated,
     ShortComponent,
@@ -135,7 +134,7 @@ def test_verify_boost_failure_path():
     broken = BoostedInstance(
         b.instance, seven18(), b.components, b.equalized_load, b.dropped_zero_shorts
     )
-    with pytest.raises(BoundViolated):
+    with pytest.raises(GuaranteeViolated, match="falls below the source performance"):
         verify_boost(broken)
 
 

@@ -85,7 +85,6 @@ def test_pattern_validation():
     with pytest.raises(MalformedRouting):
         Pattern(r, 0, 0.5)
     p = Pattern(r, 0b10, Fraction(1))
-    assert p.steps == (-1, 1)
     assert p.prefix_values == (1, 0, 1)
     assert p.end == 1
     assert p.strip == (0, 1)

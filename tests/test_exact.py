@@ -13,7 +13,6 @@ from ringload import (
     GeneralSplitRouting,
     GuaranteeViolated,
     LoadProfile,
-    NotEqualized,
     RingInstance,
     ShortComponent,
     TooLarge,
@@ -225,5 +224,5 @@ def test_split_optimum_boosted_rejects_wrong_homes():
     broken = BoostedInstance(
         b.instance, b.source, tuple(components), b.equalized_load, b.dropped_zero_shorts
     )
-    with pytest.raises(NotEqualized):
+    with pytest.raises(GuaranteeViolated, match="are not all equal"):
         split_optimum_boosted(broken)

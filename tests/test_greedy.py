@@ -10,9 +10,8 @@ from ringload import (
     BACKWARD,
     FORWARD,
     CrossingRouting,
-    InvalidEnd,
-    InvalidStart,
     MalformedRouting,
+    ParameterOutOfRange,
     Pattern,
     backward_greedy,
     forward_greedy,
@@ -52,13 +51,13 @@ def test_greedy_is_deterministic(r, w):
 
 def test_anchor_range_enforced():
     r = CrossingRouting((1, 1), (1, 1))
-    with pytest.raises(InvalidStart):
+    with pytest.raises(ParameterOutOfRange, match="start -1/2 outside"):
         forward_greedy(r, Fraction(-1, 2))
-    with pytest.raises(InvalidStart):
+    with pytest.raises(ParameterOutOfRange, match="start 5/2 outside"):
         forward_greedy(r, Fraction(5, 2))
-    with pytest.raises(InvalidEnd):
+    with pytest.raises(ParameterOutOfRange, match="end -1/2 outside"):
         backward_greedy(r, Fraction(-1, 2))
-    with pytest.raises(InvalidEnd):
+    with pytest.raises(ParameterOutOfRange, match="end 5/2 outside"):
         backward_greedy(r, Fraction(5, 2))
     with pytest.raises(MalformedRouting):
         forward_greedy(r, 0.5)

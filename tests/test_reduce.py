@@ -39,7 +39,6 @@ def test_general_routing_validation():
     with pytest.raises(MalformedRouting):
         GeneralSplitRouting(inst, (Fraction(-1),))
     g = GeneralSplitRouting(inst, (Fraction(1),))
-    assert g.counter_clockwise == (Fraction(3),)
     assert g.split_indices() == (0,)
     assert GeneralSplitRouting(inst, (Fraction(4),)).split_indices() == ()
 

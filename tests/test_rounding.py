@@ -16,7 +16,6 @@ from ringload import (
     CrossingRouting,
     DeltaClass,
     GuaranteeViolated,
-    LengthMismatch,
     ParameterOutOfRange,
     Pattern,
     RoundingMethod,
@@ -189,9 +188,9 @@ def test_crossover_contract(pair):
 def test_crossover_requires_shared_routing():
     p1 = Pattern(tight6(), 0, Fraction(0))
     p2 = Pattern(tight3(), 0, Fraction(0))
-    with pytest.raises(LengthMismatch):
+    with pytest.raises(ParameterOutOfRange, match="different routings"):
         crossover(p1, p2)
-    with pytest.raises(LengthMismatch):
+    with pytest.raises(ParameterOutOfRange, match="different routings"):
         closeness(p1, p2)
 
 
