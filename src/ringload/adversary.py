@@ -24,7 +24,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cache
 from random import Random
 from typing import ClassVar, NamedTuple
 
@@ -83,6 +83,27 @@ def kept_selectors(m: int, mask: int, reduce_vars: bool) -> tuple[tuple[int, ...
     return keep_min, keep_max
 
 
+@cache
+def _declarations(m: int, reduce_vars: bool) -> tuple[MilpVariable, ...]:
+    """The variable declarations of every model of size m, built once per
+    ``(m, reduce_vars)`` and shared by all such models."""
+    out = [MilpVariable(f"{side}_{i}") for side in "uv" for i in range(1, m + 1)]
+    out.append(MilpVariable("E"))
+    for z in range(1 << m):
+        h = _mask_label(z, m)
+        keep_min, keep_max = kept_selectors(m, z, reduce_vars)
+        out += (
+            MilpVariable(f"a_{h}", FREE),  # walk minimum can be negative
+            MilpVariable(f"b_{h}"),
+            MilpVariable(f"y_{h}", FREE),  # walk end can be negative
+            MilpVariable(f"c_{h}"),
+            MilpVariable(f"w_{h}", BINARY),
+        )
+        out += (MilpVariable(f"wmin_{h}_{i}", BINARY) for i in keep_min)
+        out += (MilpVariable(f"wmax_{h}_{i}", BINARY) for i in keep_max)
+    return tuple(out)
+
+
 @dataclass(frozen=True)
 class MilpModel:
     """A model is its size, its two switches and its rows; the variable
@@ -94,24 +115,9 @@ class MilpModel:
     constraints: tuple[LinearConstraint, ...]
     objective: ClassVar[tuple[tuple[int, str], ...]] = ((1, "E"),)
 
-    @cached_property
+    @property
     def variables(self) -> tuple[MilpVariable, ...]:
-        m = self.m
-        out = [MilpVariable(f"{side}_{i}") for side in "uv" for i in range(1, m + 1)]
-        out.append(MilpVariable("E"))
-        for z in range(1 << m):
-            h = _mask_label(z, m)
-            keep_min, keep_max = kept_selectors(m, z, self.reduce_vars)
-            out += (
-                MilpVariable(f"a_{h}", FREE),  # walk minimum can be negative
-                MilpVariable(f"b_{h}"),
-                MilpVariable(f"y_{h}", FREE),  # walk end can be negative
-                MilpVariable(f"c_{h}"),
-                MilpVariable(f"w_{h}", BINARY),
-            )
-            out += (MilpVariable(f"wmin_{h}_{i}", BINARY) for i in keep_min)
-            out += (MilpVariable(f"wmax_{h}_{i}", BINARY) for i in keep_max)
-        return tuple(out)
+        return _declarations(self.m, self.reduce_vars)
 
     def binary_names(self) -> tuple[str, ...]:
         return tuple(v.name for v in self.variables if v.kind == BINARY)

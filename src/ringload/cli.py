@@ -201,13 +201,11 @@ def _round_reduced(r: CrossingRouting, method: str) -> BoundedRounding:
     if method == "ssw":
         return ssw_round(r)
     if method == "medium":
-        return round_medium(r, r.classify_delta().value)
+        return round_medium(r)
     if method == "upper":
-        return round_upper(r, r.classify_delta().value)
+        return round_upper(r)
     value, pattern = min_additive_performance(r)
-    return BoundedRounding(
-        pattern, value / r.max_demand, value, RoundingMethod.BRUTE_FORCE
-    )
+    return BoundedRounding(pattern, value / r.max_demand, RoundingMethod.BRUTE_FORCE)
 
 
 def _report_lifted(result: ReductionResult, lifted: GeneralSplitRouting) -> None:

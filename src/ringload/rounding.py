@@ -1,10 +1,10 @@
 """Certified rounding of split crossing routings to unsplittable ones.
 
-Every rounding routine returns a pattern together with an a-priori bound
-(a multiple of the largest demand D) that its construction guarantees,
-and the performance it actually realized.  The constructor re-checks
-realized <= certified * D and refuses to build a result that would break
-its own certificate.
+Every rounding routine returns a pattern together with the a-priori
+bound (a multiple of the largest demand D) that its construction
+guarantees.  The realized performance is derived from the pattern, not
+stated by the caller; the constructor checks realized <= certified * D
+and refuses to build a result that would break its own certificate.
 
 The main routine classifies the instance by how balanced its most
 central demand is (delta in [0, 1/2]) and dispatches:
@@ -22,9 +22,10 @@ delta = 2/5.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
+from functools import cached_property
 
 from .core import (
     CrossingRouting,
@@ -48,38 +49,35 @@ class RoundingMethod(Enum):
 class BoundedRounding:
     """A rounding outcome that carries its own certificate.
 
-    certified_bound is a multiple of D; realized is the absolute
-    additive performance of the pattern.  Construction fails loudly if
-    the pattern does not honor the certificate.
+    certified_bound is the claimed bound, a multiple of D; realized, the
+    absolute additive performance of the pattern, is derived from the
+    pattern.  Construction checks only the claim, and fails loudly if the
+    pattern does not honor it.
     """
 
     pattern: Pattern
     certified_bound: Fraction
-    realized: Fraction
     method: RoundingMethod
     note: str = ""
 
     def __post_init__(self):
-        big = self.pattern.routing.max_demand
-        limit = self.certified_bound * big
-        if self.realized != additive_performance(self.pattern):
-            raise GuaranteeViolated(
-                f"stated performance {self.realized} does not match the pattern"
-            )
+        limit = self.certified_bound * self.pattern.routing.max_demand
         if self.realized > limit:
             raise GuaranteeViolated(
                 f"realized performance {self.realized} exceeds certified "
                 f"{self.certified_bound} * D = {limit}"
             )
 
+    @cached_property
+    def realized(self) -> Fraction:
+        return additive_performance(self.pattern)
+
 
 def ssw_round(r: CrossingRouting) -> BoundedRounding:
     """Baseline: forward greedy from D/2.  The walk stays in [0, D], so
     the performance never exceeds (3/2) * D regardless of the instance."""
     pattern = forward_greedy(r, r.max_demand / 2)
-    return BoundedRounding(
-        pattern, Fraction(3, 2), additive_performance(pattern), RoundingMethod.SSW
-    )
+    return BoundedRounding(pattern, Fraction(3, 2), RoundingMethod.SSW)
 
 
 def closeness(p1: Pattern, p2: Pattern) -> tuple[Fraction, int]:
@@ -185,7 +183,7 @@ def round_via_induced(
             "no qualifying pattern or crossover pair; "
             f"start order {starts}, end order {ends}"
         )
-    return BoundedRounding(chosen, certified, additive_performance(chosen), method)
+    return BoundedRounding(chosen, certified, method)
 
 
 def _rotate_routing(r: CrossingRouting, shift: int) -> CrossingRouting:
@@ -200,7 +198,7 @@ def _unrotate_pattern(r: CrossingRouting, rotated: Pattern, shift: int) -> Patte
     """Carry a pattern on the rotated routing back to the input indexing,
     flipping the choice bits of wrapped demands and re-centering the start
     so the anchor sum x + y is preserved (performance is unchanged either
-    way; asserted)."""
+    way; checked)."""
     kept = r.m - shift
     # rotated bit j - 1 is input bit j + shift - 1; wrapped ones flip
     choices = (rotated.choices & ((1 << kept) - 1)) << shift
@@ -210,7 +208,8 @@ def _unrotate_pattern(r: CrossingRouting, rotated: Pattern, shift: int) -> Patte
     # both walks share the denominator, so x + y = 2 * start + walk end
     start = rotated.start + Fraction(rotated.walk[-1] - step_sum, 2 * denom)
     pattern = Pattern(r, choices, start)
-    assert additive_performance(pattern) == additive_performance(rotated)
+    if additive_performance(pattern) != additive_performance(rotated):
+        raise GuaranteeViolated("un-rotating the pattern changed its performance")
     return pattern
 
 
@@ -223,20 +222,10 @@ def _reflect_pattern(target: CrossingRouting, p: Pattern) -> Pattern:
     """Mirror a pattern across D/2.  The mirrored walk takes the opposite
     choice at every step, so it lives on the direction-swapped routing.
     Applying the reflection twice gives back the original pattern."""
-    m = p.routing.m
-    assert target.u == p.routing.v and target.v == p.routing.u
-    full = (1 << m) - 1
+    if target.u != p.routing.v or target.v != p.routing.u:
+        raise GuaranteeViolated("reflection target is not the direction-swapped routing")
+    full = (1 << p.routing.m) - 1
     return Pattern(target, p.choices ^ full, p.routing.max_demand - p.start)
-
-
-def _checked_delta(r: CrossingRouting, delta) -> tuple[Fraction, int]:
-    delta = to_rational(delta)
-    cls = r.classify_delta()
-    if delta != cls.value:
-        raise ParameterOutOfRange(
-            f"stated class {delta} does not match the instance's {cls.value}"
-        )
-    return delta, cls.index
 
 
 def _last_demand(r: CrossingRouting) -> Fraction:
@@ -269,24 +258,23 @@ def _extended_backward(rr: CrossingRouting) -> tuple[Pattern, bool]:
     return low, False
 
 
-def round_medium(r: CrossingRouting, delta) -> BoundedRounding:
+def round_medium(r: CrossingRouting) -> BoundedRounding:
     """Rounding for well-spread instances: one backward greedy pass
     anchored just past the most central demand, certified at
-    (3/2 - delta/2) * D."""
-    delta, index = _checked_delta(r, delta)
-    shift = index % r.m
+    (3/2 - delta/2) * D.  The spread class delta and its witness demand
+    come from the routing (``r.classify_delta()``)."""
+    cls = r.classify_delta()
+    shift = cls.index % r.m
     rr = _rotate_routing(r, shift)
     chosen, _ = _extended_backward(rr)
     pattern = _unrotate_pattern(r, chosen, shift)
-    certified = Fraction(3, 2) - delta / 2
-    return BoundedRounding(
-        pattern, certified, additive_performance(pattern), RoundingMethod.MEDIUM
-    )
+    return BoundedRounding(pattern, Fraction(3, 2) - cls.value / 2, RoundingMethod.MEDIUM)
 
 
-def round_upper(r: CrossingRouting, delta) -> BoundedRounding:
+def round_upper(r: CrossingRouting) -> BoundedRounding:
     """Rounding for poorly-spread instances (delta <= 2/5), certified at
-    (7/6 + delta/3) * D.
+    (7/6 + delta/3) * D, with delta and its witness demand read from the
+    routing (``r.classify_delta()``).
 
     The extremal backward walk either starts inside an explicit window
     around the mirror of its end anchor and qualifies alone, or serves as
@@ -294,12 +282,13 @@ def round_upper(r: CrossingRouting, delta) -> BoundedRounding:
     starts above D/2 everything is mirrored first; the mirror swaps the
     two ring directions and is undone on the way out.
     """
-    delta, index = _checked_delta(r, delta)
+    cls = r.classify_delta()
+    delta = cls.value
     if delta > Fraction(2, 5):
         raise ParameterOutOfRange(
             f"class {delta} > 2/5: use round_medium for well-spread instances"
         )
-    shift = index % r.m
+    shift = cls.index % r.m
     rr = _rotate_routing(r, shift)
     chosen, used_high = _extended_backward(rr)
     if used_high:
@@ -318,44 +307,37 @@ def round_upper(r: CrossingRouting, delta) -> BoundedRounding:
     window = big / 6 + delta * big / 3
     mirrored_end = (big - d_last) / 2
     if abs(base.start - mirrored_end) <= window:
-        inner = BoundedRounding(
-            base, certified, additive_performance(base), RoundingMethod.UPPER
-        )
+        pattern, method = base, RoundingMethod.UPPER
     else:
         inner = round_via_induced(work, base, delta)
         if inner.certified_bound > certified:
             raise GuaranteeViolated(
                 f"induced rounding certifies {inner.certified_bound}, above {certified}"
             )
-    pattern = inner.pattern
+        pattern, method = inner.pattern, inner.method
     if reflected:
         pattern = _reflect_pattern(rr, pattern)
     pattern = _unrotate_pattern(r, pattern, shift)
-    return BoundedRounding(
-        pattern, certified, additive_performance(pattern), inner.method
-    )
+    return BoundedRounding(pattern, certified, method)
 
 
 def round_main(r: CrossingRouting) -> BoundedRounding:
     """Certified rounding within 13/10 * D: dispatch on the spread class,
     then keep the baseline greedy pattern instead if it happens to
     realize a smaller performance (the branch certificate still applies)."""
-    cls = r.classify_delta()
-    if cls.value >= Fraction(2, 5):
-        branch = round_medium(r, cls.value)
+    if r.classify_delta().value >= Fraction(2, 5):
+        branch = round_medium(r)
     else:
-        branch = round_upper(r, cls.value)
+        branch = round_upper(r)
     if branch.certified_bound > Fraction(13, 10):
         raise GuaranteeViolated(
             f"{branch.method.value} rounding certifies {branch.certified_bound}, above 13/10"
         )
     baseline = ssw_round(r)
     if baseline.realized < branch.realized:
-        return BoundedRounding(
-            baseline.pattern,
-            branch.certified_bound,
-            baseline.realized,
-            RoundingMethod.SSW,
+        return replace(
+            baseline,
+            certified_bound=branch.certified_bound,
             note=(
                 "baseline greedy pattern kept (smaller realized value); "
                 f"certificate inherited from the {branch.method.value} construction"

@@ -10,8 +10,8 @@ import pytest
 from hypothesis import given, settings
 
 import ringload
-from ringload import GuaranteeViolated, ParseError, skutella8, tight3
-from ringload.cli import load_input, main, parse_input_text
+from ringload import GuaranteeViolated, ParseError, round_medium, round_upper, skutella8, tight3
+from ringload.cli import fmt, load_input, main, parse_input_text
 from support import mutated_texts
 
 
@@ -60,6 +60,20 @@ def test_round_ssw_method(tmp_path, capsys):
     code, out, _ = run(capsys, "round", str(path), "--method", "ssw")
     assert code == 0
     assert "method: ssw" in out
+
+
+@pytest.mark.parametrize(
+    "name, method, construction",
+    [("skutella8", "medium", round_medium), ("tight3", "upper", round_upper)],
+)
+def test_round_branch_methods(tmp_path, capsys, name, method, construction):
+    path = tmp_path / f"{name}.txt"
+    run(capsys, "gen", name, "--out", str(path))
+    code, out, err = run(capsys, "round", str(path), "--method", method)
+    assert code == 0 and err == ""
+    expected = construction(load_input(str(path)).routing)
+    assert f"method: {expected.method.value}" in out
+    assert f"realized load increase: {fmt(expected.realized)}\n" in out
 
 
 def test_round_reduces_ring_input(tmp_path, capsys):

@@ -54,10 +54,11 @@ def test_bounded_rounding_self_checks():
     p = Pattern(r, 0, Fraction(0))
     perf = additive_performance(p)  # 6: the all-one-way pattern is awful
     with pytest.raises(GuaranteeViolated):
-        BoundedRounding(p, Fraction(4), perf + 1, RoundingMethod.SSW)
-    with pytest.raises(GuaranteeViolated):
-        BoundedRounding(p, Fraction(3, 2), perf, RoundingMethod.SSW)
-    ok = BoundedRounding(p, Fraction(3), perf, RoundingMethod.SSW)
+        BoundedRounding(p, Fraction(3, 2), RoundingMethod.SSW)
+    # the realized value is derived from the pattern, never stated
+    with pytest.raises(TypeError):
+        BoundedRounding(p, Fraction(3), RoundingMethod.SSW, realized=perf)
+    ok = BoundedRounding(p, Fraction(3), RoundingMethod.SSW)  # 6 = 3 * D exactly
     assert ok.realized == perf == 6 and ok.note == ""
 
 
@@ -78,7 +79,7 @@ def test_ssw_round_single_demand_is_optimal(r):
 @given(crossing_routings(max_m=10))
 def test_round_medium_bound_any_spread(r):
     delta = r.classify_delta().value
-    out = round_medium(r, delta)
+    out = round_medium(r)
     assert out.method is RoundingMethod.MEDIUM
     assert out.certified_bound == Fraction(3, 2) - delta / 2
     assert out.realized <= out.certified_bound * r.max_demand
@@ -88,24 +89,22 @@ def test_round_medium_bound_any_spread(r):
 def test_round_upper_bound(r):
     delta = r.classify_delta().value
     assume(delta <= Fraction(2, 5))
-    out = round_upper(r, delta)
+    out = round_upper(r)
     assert out.method in (RoundingMethod.UPPER, RoundingMethod.CROSSOVER)
     assert out.certified_bound == Fraction(7, 6) + delta / 3
     assert out.realized <= out.certified_bound * r.max_demand
 
 
 def test_dispatch_guards():
-    with pytest.raises(ParameterOutOfRange):
-        round_medium(skutella8(0), Fraction(1, 3))  # wrong spread class
     # seven18 has spread 4/9 > 2/5: the upper construction refuses it
-    with pytest.raises(ParameterOutOfRange):
-        round_upper(seven18(), Fraction(4, 9))
-    # a class computed (and kept) beforehand does not let a wrong one through
+    with pytest.raises(ParameterOutOfRange, match="use round_medium"):
+        round_upper(seven18())
+    # skutella8 sits on the crossover 2/5, where both constructions apply
+    # and both certify 13/10
     r = skutella8(0)
     assert r.classify_delta().value == Fraction(2, 5)
     for construction in (round_medium, round_upper):
-        with pytest.raises(ParameterOutOfRange):
-            construction(r, Fraction(1, 3))
+        assert construction(r).certified_bound == Fraction(13, 10)
 
 
 @pytest.mark.parametrize("make", [skutella8, seven18, tight3, tight6])
@@ -123,18 +122,37 @@ def test_round_main_classifies_once(make, monkeypatch):
 
 
 def test_round_medium_goldens():
-    out = round_medium(skutella8(0), Fraction(2, 5))
+    out = round_medium(skutella8(0))
     assert out.certified_bound == Fraction(13, 10)
     assert out.realized == 11  # cannot beat the brute-force minimum
-    out = round_medium(seven18(), Fraction(4, 9))
+    out = round_medium(seven18())
     assert out.certified_bound == Fraction(23, 18)
     assert 19 <= out.realized <= 23
 
 
 def test_round_upper_golden():
-    out = round_upper(tight3(), Fraction(0))
+    out = round_upper(tight3())
     assert out.certified_bound == Fraction(7, 6)
     assert out.realized == 4  # the full largest demand, as small as possible
+
+
+def test_round_upper_start_window_certifies_once(monkeypatch):
+    # tight3's extremal walk starts inside the window: no induced
+    # patterns, and one certificate for the one claimed bound
+    def no_induced(*args):
+        raise AssertionError("tight3 should qualify in the start window")
+
+    checks = []
+    real = BoundedRounding.__post_init__
+
+    def counting(self):
+        checks.append(self.method)
+        real(self)
+
+    monkeypatch.setattr(ringload.rounding, "round_via_induced", no_induced)
+    monkeypatch.setattr(BoundedRounding, "__post_init__", counting)
+    round_upper(tight3())
+    assert checks == [RoundingMethod.UPPER]
 
 
 @given(crossing_routings(max_m=10))
@@ -330,7 +348,7 @@ def _round_upper_base(monkeypatch, start_above_half):
         return Pattern(rr, 0, start), True
 
     monkeypatch.setattr(ringload.rounding, "_extended_backward", fake)
-    round_upper(tight3(), Fraction(0))
+    round_upper(tight3())
 
 
 def _delta_class_spread(monkeypatch):
@@ -371,18 +389,32 @@ def _round_upper_inner_bound(monkeypatch):
     def fake(*args, **kwargs):
         inner = real(*args, **kwargs)
         weaker = inner.certified_bound + 1
-        return BoundedRounding(inner.pattern, weaker, inner.realized, inner.method)
+        return BoundedRounding(inner.pattern, weaker, inner.method)
 
     monkeypatch.setattr(ringload.rounding, "round_via_induced", fake)
-    r = GOLDEN_PINNED[0]
-    round_upper(r, r.classify_delta().value)
+    round_upper(GOLDEN_PINNED[0])
 
 
 def _round_main_dispatch_bound(monkeypatch):
     # both branches hand back the 3/2 baseline certificate
-    monkeypatch.setattr(ringload.rounding, "round_medium", lambda r, delta: ssw_round(r))
-    monkeypatch.setattr(ringload.rounding, "round_upper", lambda r, delta: ssw_round(r))
+    monkeypatch.setattr(ringload.rounding, "round_medium", ssw_round)
+    monkeypatch.setattr(ringload.rounding, "round_upper", ssw_round)
     round_main(tight3())
+
+
+def _unrotate_performance(monkeypatch):
+    # the carried-back pattern loses its choices (performance 33, not 11)
+    monkeypatch.setattr(
+        ringload.rounding, "Pattern", lambda r, choices, start: Pattern(r, 0, start)
+    )
+    round_medium(skutella8(0))
+
+
+def _reflect_directions(monkeypatch):
+    # skutella8 takes the mirrored branch; the mirror target now keeps
+    # the directions instead of swapping them
+    monkeypatch.setattr(ringload.rounding, "_swap_directions", lambda rr: rr)
+    round_upper(skutella8(0))
 
 
 GUARANTEE_CASES = {
@@ -412,6 +444,8 @@ GUARANTEE_CASES = {
     "crossover_strip": lambda mp: _crossover_tweaked(mp, _WideStrip),
     "upper_inner_bound": _round_upper_inner_bound,
     "main_dispatch_bound": _round_main_dispatch_bound,
+    "unrotate_performance": _unrotate_performance,
+    "reflect_directions": _reflect_directions,
 }
 
 
