@@ -8,10 +8,12 @@ maximum, end value, and performance; indicator binaries with big-M
 coefficient m (valid because the total step mass is at most m) select
 which prefix attains the extremes and which performance term binds.
 
-Models are rendered to deterministic LP files and can be parsed back
-for round-trip checks.  A direct-arithmetic evaluator substitutes a
-concrete routing into a model and returns the largest feasible
-objective, which must agree between the reduced and unreduced variants.
+A model is its size and two switches; its declarations and rows are
+derived from them once.  It renders to a deterministic LP file, and
+parse_lp accepts exactly that text.  A direct-arithmetic evaluator
+substitutes a concrete routing into a model and returns the largest
+feasible objective, which must agree between the reduced and unreduced
+variants.
 
 The heuristic search walks an integer grid with first-improvement
 coordinate steps, projecting the partner direction down when a step
@@ -21,14 +23,14 @@ result is re-certified by the exact oracle.
 
 from __future__ import annotations
 
-import re
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from random import Random
 from typing import ClassVar, NamedTuple
 
-from .core import CrossingRouting, Pattern, to_rational
+from .core import CrossingRouting, mask_walk, to_rational, walk_performance
 from .errors import GuaranteeViolated, ParameterOutOfRange, ParseError
 from .exact import _lowest_performance, min_additive_performance
 
@@ -106,36 +108,44 @@ def _declarations(m: int, reduce_vars: bool) -> tuple[MilpVariable, ...]:
 
 @dataclass(frozen=True)
 class MilpModel:
-    """A model is its size, its two switches and its rows; the variable
-    declarations follow from the size and ``reduce_vars``."""
+    """A model is its size and its two switches; its variable declarations
+    and its rows follow from them and are built once per setting."""
 
     m: int
     reduce_vars: bool
     symmetry_break: bool
-    constraints: tuple[LinearConstraint, ...]
     objective: ClassVar[tuple[tuple[int, str], ...]] = ((1, "E"),)
+
+    def __post_init__(self):
+        if not isinstance(self.m, int) or isinstance(self.m, bool) or not 2 <= self.m <= 12:
+            raise ParameterOutOfRange(f"model size must be an integer in [2, 12], got {self.m!r}")
 
     @property
     def variables(self) -> tuple[MilpVariable, ...]:
         return _declarations(self.m, self.reduce_vars)
 
+    @property
+    def constraints(self) -> tuple[LinearConstraint, ...]:
+        return _rows(self.m, self.reduce_vars, self.symmetry_break)
+
     def binary_names(self) -> tuple[str, ...]:
         return tuple(v.name for v in self.variables if v.kind == BINARY)
 
 
-def _prefix_terms(mask: int, i: int) -> list[tuple[int, str]]:
-    """Terms subtracting the walk prefix after step i: -v_j for set
-    bits, +u_j for clear ones."""
-    return [(-1, f"v_{j}") if mask >> (j - 1) & 1 else (1, f"u_{j}") for j in range(1, i + 1)]
-
-
-def build_milp(m: int, *, reduce_vars: bool = True, symmetry_break: bool = True) -> MilpModel:
-    """Exact worst-case-search model for size m (2..12 supported)."""
-    if not isinstance(m, int) or isinstance(m, bool) or not 2 <= m <= 12:
-        raise ParameterOutOfRange(f"model size must be an integer in [2, 12], got {m!r}")
+@cache
+def _rows(m: int, reduce_vars: bool, symmetry_break: bool) -> tuple[LinearConstraint, ...]:
+    """The rows of the size-m model with the given switches, built once
+    per setting and shared by all such models."""
     masks = range(1 << m)
     lab = {z: _mask_label(z, m) for z in masks}
     kept = {z: kept_selectors(m, z, reduce_vars) for z in masks}
+    # terms subtracting the walk prefix after step i: -v_j for set bits,
+    # +u_j for clear ones; the pairs are shared by every row
+    down = [(1, f"u_{j}") for j in range(1, m + 1)]
+    up = [(-1, f"v_{j}") for j in range(1, m + 1)]
+
+    def prefix(z: int, i: int) -> list[tuple[int, str]]:
+        return [up[j] if z >> j & 1 else down[j] for j in range(i)]
 
     cons: list[LinearConstraint] = []
     for z in masks:
@@ -146,11 +156,11 @@ def build_milp(m: int, *, reduce_vars: bool = True, symmetry_break: bool = True)
         cons.append(LinearConstraint(f"feas_{i}", ((1, f"u_{i}"), (1, f"v_{i}")), "<=", 1))
     for z in masks:
         for i in range(m + 1):
-            terms = [(1, f"a_{lab[z]}")] + _prefix_terms(z, i)
+            terms = [(1, f"a_{lab[z]}")] + prefix(z, i)
             cons.append(LinearConstraint(f"min_ub_{lab[z]}_{i}", tuple(terms), "<=", 0))
     for z in masks:
         for i in kept[z][0]:
-            terms = [(1, f"a_{lab[z]}")] + _prefix_terms(z, i)
+            terms = [(1, f"a_{lab[z]}")] + prefix(z, i)
             terms.append((-m, f"wmin_{lab[z]}_{i}"))
             cons.append(LinearConstraint(f"min_lb_{lab[z]}_{i}", tuple(terms), ">=", -m))
     for z in masks:
@@ -158,18 +168,18 @@ def build_milp(m: int, *, reduce_vars: bool = True, symmetry_break: bool = True)
         cons.append(LinearConstraint(f"minsel_{lab[z]}", terms, ">=", 1))
     for z in masks:
         for i in range(m + 1):
-            terms = [(1, f"b_{lab[z]}")] + _prefix_terms(z, i)
+            terms = [(1, f"b_{lab[z]}")] + prefix(z, i)
             cons.append(LinearConstraint(f"max_lb_{lab[z]}_{i}", tuple(terms), ">=", 0))
     for z in masks:
         for i in kept[z][1]:
-            terms = [(1, f"b_{lab[z]}")] + _prefix_terms(z, i)
+            terms = [(1, f"b_{lab[z]}")] + prefix(z, i)
             terms.append((m, f"wmax_{lab[z]}_{i}"))
             cons.append(LinearConstraint(f"max_ub_{lab[z]}_{i}", tuple(terms), "<=", m))
     for z in masks:
         terms = tuple((1, f"wmax_{lab[z]}_{i}") for i in kept[z][1])
         cons.append(LinearConstraint(f"maxsel_{lab[z]}", terms, ">=", 1))
     for z in masks:
-        terms = [(1, f"y_{lab[z]}")] + _prefix_terms(z, m)
+        terms = [(1, f"y_{lab[z]}")] + prefix(z, m)
         cons.append(LinearConstraint(f"end_{lab[z]}", tuple(terms), "=", 0))
     for z in masks:
         h = lab[z]
@@ -203,41 +213,43 @@ def build_milp(m: int, *, reduce_vars: bool = True, symmetry_break: bool = True)
             cons.append(LinearConstraint(f"sym_u_{i}", ((1, "u_1"), (-1, f"u_{i}")), "<=", 0))
         for i in range(1, m + 1):
             cons.append(LinearConstraint(f"sym_v_{i}", ((1, "u_1"), (-1, f"v_{i}")), "<=", 0))
+    return tuple(cons)
 
-    return MilpModel(m, reduce_vars, symmetry_break, tuple(cons))
+
+def build_milp(m: int, *, reduce_vars: bool = True, symmetry_break: bool = True) -> MilpModel:
+    """Exact worst-case-search model for size m (2..12 supported)."""
+    return MilpModel(m, reduce_vars, symmetry_break)
 
 
 def _render_terms(terms) -> str:
     parts = []
     for pos, (coeff, name) in enumerate(terms):
-        if pos == 0:
-            if coeff == 1:
-                parts.append(name)
-            elif coeff == -1:
-                parts.append(f"- {name}")
-            else:
-                parts.append(f"{coeff} {name}" if coeff > 0 else f"- {-coeff} {name}")
-        else:
-            sign = "+" if coeff > 0 else "-"
-            mag = abs(coeff)
-            parts.append(f"{sign} {name}" if mag == 1 else f"{sign} {mag} {name}")
+        if pos or coeff < 0:
+            parts.append("+" if coeff > 0 else "-")
+        if abs(coeff) != 1:
+            parts.append(str(abs(coeff)))
+        parts.append(name)
     return " ".join(parts)
+
+
+def _row_lines(model: MilpModel) -> list[str]:
+    """The objective and constraint lines of the model's LP text."""
+    lines = ["Maximize", f" obj: {_render_terms(model.objective)}", "Subject To"]
+    for con in model.constraints:
+        lines.append(f" {con.name}: {_render_terms(con.terms)} {con.sense} {con.rhs}")
+    return lines
+
+
+def _declaration_lines(m: int, reduce_vars: bool) -> list[str]:
+    """The Bounds, Binaries and End lines of every size-m model's LP text."""
+    variables = _declarations(m, reduce_vars)
+    return ["Bounds", *(f" {v.name} free" for v in variables if v.kind == FREE),
+            "Binaries", *(f" {v.name}" for v in variables if v.kind == BINARY), "End"]
 
 
 def render_lp(model: MilpModel) -> str:
     """Deterministic LP-format text for the model (ASCII, LF endings)."""
-    lines = ["Maximize", f" obj: {_render_terms(model.objective)}", "Subject To"]
-    for con in model.constraints:
-        lines.append(f" {con.name}: {_render_terms(con.terms)} {con.sense} {con.rhs}")
-    lines.append("Bounds")
-    for var in model.variables:
-        if var.kind == FREE:
-            lines.append(f" {var.name} free")
-    lines.append("Binaries")
-    for var in model.variables:
-        if var.kind == BINARY:
-            lines.append(f" {var.name}")
-    lines.append("End")
+    lines = _row_lines(model) + _declaration_lines(model.m, model.reduce_vars)
     return "\n".join(lines) + "\n"
 
 
@@ -249,102 +261,44 @@ def export_lp(model: MilpModel, path) -> str:
     return str(path)
 
 
-_CONSTRAINT_RE = re.compile(r"^\s*([A-Za-z]\w*):\s*(.*?)\s*(<=|>=|=)\s*(-?\d+)\s*$", re.ASCII)
-_NAME_RE = re.compile(r"^[A-Za-z]\w*$", re.ASCII)
-
-
-def _parse_terms(text: str) -> tuple[tuple[int, str], ...]:
-    tokens = text.replace("+", " + ").replace("-", " - ").split()
-    terms = []
-    sign = 1
-    coeff = None
-    for tok in tokens:
-        if tok == "+":
-            sign, coeff = 1, None
-        elif tok == "-":
-            sign, coeff = -1, None
-        elif tok.isascii() and tok.isdigit():
-            if coeff is not None:
-                raise ParseError(f"two coefficients in a row near {tok!r}")
-            coeff = int(tok)
-        elif _NAME_RE.match(tok):
-            terms.append((sign * (1 if coeff is None else coeff), tok))
-            sign, coeff = 1, None
-        else:
-            raise ParseError(f"unexpected token {tok!r} in expression")
-    if coeff is not None:
-        raise ParseError("dangling coefficient without a variable")
-    return tuple(terms)
+def _expect_lines(found: list[list[str]], lines: list[str], m: int) -> None:
+    """Refuse unless ``found`` holds the tokens of ``lines``, line by line."""
+    if len(found) != len(lines):
+        raise ParseError(f"{len(found)} lines where the size-{m} model renders {len(lines)}")
+    for tokens, line in zip(found, lines):
+        if tokens != line.split():
+            raise ParseError(f"{' '.join(tokens)!r} is not the size-{m} model's {line.strip()!r}")
 
 
 def parse_lp(text: str) -> MilpModel:
-    """Parse LP text produced by render_lp back into an equal model.
+    """The model whose ``render_lp`` text this is.
 
-    The size and both switches are read off the rows; declarations and
-    an objective other than those render_lp would write are refused.
+    The size and both switches are read off the text (its ``feas_`` and
+    ``sym_`` rows and its number of binaries); the text is accepted only
+    if its lines equal that model's rendered lines token by token, with
+    blank lines, comment lines (``\\`` or ``*``) and the width of
+    whitespace runs ignored.  Any other text raises ParseError.
     """
-    section = None
-    objective = None
-    constraints: list[LinearConstraint] = []
-    free_names: list[str] = []
-    binary_names: list[str] = []
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line.startswith(("\\", "*")):
-            continue
-        if line in ("Maximize", "Subject To", "Bounds", "Binaries", "End"):
-            section = line
-            continue
-        if section == "Maximize":
-            match = _CONSTRAINT_RE.match(line)
-            if match:
-                raise ParseError(f"objective line cannot carry a relation: {line!r}")
-            name, _, expr = line.partition(":")
-            if name.strip() != "obj":
-                raise ParseError(f"expected objective 'obj', got {name.strip()!r}")
-            if objective is not None:
-                raise ParseError(f"second objective line: {line!r}")
-            objective = _parse_terms(expr)
-        elif section == "Subject To":
-            match = _CONSTRAINT_RE.match(line)
-            if not match:
-                raise ParseError(f"bad constraint line: {line!r}")
-            name, expr, sense, rhs = match.groups()
-            constraints.append(LinearConstraint(name, _parse_terms(expr), sense, int(rhs)))
-        elif section == "Bounds":
-            parts = line.split()
-            if len(parts) == 2 and parts[1] == "free" and _NAME_RE.match(parts[0]):
-                free_names.append(parts[0])
-            else:
-                raise ParseError(f"unsupported bounds line: {line!r}")
-        elif section == "Binaries":
-            if not _NAME_RE.match(line):
-                raise ParseError(f"bad binary name: {line!r}")
-            binary_names.append(line)
-        elif section == "End":
-            raise ParseError(f"content after End: {line!r}")
-        else:
-            raise ParseError(f"content before any section: {line!r}")
-    if objective is None:
-        raise ParseError("missing objective")
-    if objective != MilpModel.objective:
-        raise ParseError(f"objective must be 'E', got {objective!r}")
-
-    m = sum(1 for con in constraints if con.name.startswith("feas_"))
-    if not 2 <= m <= 12:
-        raise ParseError(f"{m} feasibility rows; the model size must be in [2, 12]")
-    reduce_vars = len(binary_names) < (2 * m + 3) * (1 << m)
-    symmetry_break = any(con.name.startswith("sym_") for con in constraints)
-    model = MilpModel(m, reduce_vars, symmetry_break, tuple(constraints))
-    if free_names != [v.name for v in model.variables if v.kind == FREE]:
-        raise ParseError(f"free declarations differ from those of a size-{m} model")
-    if binary_names != list(model.binary_names()):
-        raise ParseError(f"binary declarations differ from those of a size-{m} model")
-    declared = {v.name for v in model.variables}
-    used = {name for con in constraints for _, name in con.terms}
-    if not used <= declared:
-        raise ParseError(f"constraints mention unknown variables: {sorted(used - declared)}")
+    lines = [line.split() for line in text.splitlines()]
+    found = [tokens for tokens in lines if tokens and not tokens[0].startswith(("\\", "*"))]
+    m = sum(1 for tokens in found if tokens[0].startswith("feas_"))
+    symmetry_break = any(tokens[0].startswith("sym_") for tokens in found)
+    if ["Bounds"] not in found or ["Binaries"] not in found:
+        raise ParseError("no Bounds or Binaries section")
+    binaries = len(found) - found.index(["Binaries"]) - 2
+    try:
+        model = MilpModel(m, binaries < (2 * m + 3) << m, symmetry_break)
+    except ParameterOutOfRange as exc:
+        raise ParseError(f"{m} feasibility rows: {exc}") from None
+    # declarations first: they are cached per size, while a short text
+    # must not make the parser build the rows of a large model
+    head = found.index(["Bounds"])
+    _expect_lines(found[head:], _declaration_lines(m, model.reduce_vars), m)
+    _expect_lines(found[:head], _row_lines(model), m)
     return model
+
+
+_SENSES = {"<=": operator.le, ">=": operator.ge, "=": operator.eq}
 
 
 def max_feasible_performance(model: MilpModel, r: CrossingRouting) -> Fraction:
@@ -369,13 +323,12 @@ def max_feasible_performance(model: MilpModel, r: CrossingRouting) -> Fraction:
         values[f"v_{i}"] = vs[i - 1]
 
     perfs = []
-    zero = Fraction(0)
     for z in range(1 << model.m):
         h = _mask_label(z, model.m)
-        prefix = Pattern(r, z, zero).walk
+        prefix = mask_walk(us, vs, z)
         lo, hi = min(prefix), max(prefix)
         end = prefix[-1]
-        perf = max(2 * hi - end, end - 2 * lo)
+        perf = walk_performance(prefix)
         values[f"a_{h}"] = lo
         values[f"b_{h}"] = hi
         values[f"y_{h}"] = end
@@ -396,14 +349,7 @@ def max_feasible_performance(model: MilpModel, r: CrossingRouting) -> Fraction:
 
     for con in model.constraints:
         lhs = sum(coeff * values[name] for coeff, name in con.terms)
-        rhs = con.rhs * scale
-        if con.sense == "<=":
-            ok = lhs <= rhs
-        elif con.sense == ">=":
-            ok = lhs >= rhs
-        else:
-            ok = lhs == rhs
-        if not ok:
+        if not _SENSES[con.sense](lhs, con.rhs * scale):
             raise ParameterOutOfRange(
                 f"routing is inadmissible for this model: {con.name} has "
                 f"lhs {Fraction(lhs, scale)}, wants {con.sense} {con.rhs}"
@@ -418,19 +364,6 @@ def max_feasible_performance(model: MilpModel, r: CrossingRouting) -> Fraction:
 class SearchResult(NamedTuple):
     routing: CrossingRouting
     value: Fraction  # minimum additive performance over D
-
-
-def _mask_performance(steps_down, steps_up, mask: int) -> int:
-    """Performance of one rerouting mask, from its integer walk."""
-    pos = lo = hi = 0
-    for k, (down, up) in enumerate(zip(steps_down, steps_up)):
-        if mask >> k & 1:
-            pos += up
-            hi = max(hi, pos)
-        else:
-            pos -= down
-            lo = min(lo, pos)
-    return max(2 * hi - pos, pos - 2 * lo)
 
 
 def _ascend(task) -> tuple[Fraction, int, tuple[int, ...]]:
@@ -479,7 +412,7 @@ def _ascend(task) -> tuple[Fraction, int, tuple[int, ...]]:
                     improved = True
                     break
                 perf, mask = hit
-                walked = _mask_performance(down, up, mask)
+                walked = walk_performance(mask_walk(down, up, mask))
                 if walked != perf or walked >= limit:
                     raise GuaranteeViolated(
                         f"threshold search reported mask {mask:#x} at {perf} below {limit}, "

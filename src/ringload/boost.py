@@ -31,6 +31,8 @@ from typing import ClassVar, Union
 from .core import CrossingRouting, LoadProfile, RingInstance, ccw_edges, cw_edges
 from .core import integer_arc_loads
 from .errors import GuaranteeViolated
+from .exact import DEFAULT_CAP, min_additive_performance, optimal_unsplittable_boosted
+from .exact import split_optimum_boosted
 from .reduce import GeneralSplitRouting
 
 
@@ -213,18 +215,15 @@ class BoostReport:
         return self.unsplittable_optimum - self.split_optimum
 
 
-def verify_boost(b: BoostedInstance, cap: int | None = None) -> BoostReport:
+def verify_boost(b: BoostedInstance, cap: int = DEFAULT_CAP) -> BoostReport:
     """Check L - L* >= min additive performance of the source, exactly.
 
     Raises GuaranteeViolated if the enumeration contradicts the bound, which
     would mean the construction (not the inputs) is broken.
     """
-    from . import exact  # local import: exact consumes boosted instances
-
-    kwargs = {} if cap is None else {"cap": cap}
-    perf, _ = exact.min_additive_performance(b.source, **kwargs)
-    split_opt = exact.split_optimum_boosted(b)
-    unsplit_opt, _ = exact.optimal_unsplittable_boosted(b, **kwargs)
+    perf, _ = min_additive_performance(b.source, cap)
+    split_opt = split_optimum_boosted(b)
+    unsplit_opt, _ = optimal_unsplittable_boosted(b, cap)
     if unsplit_opt - split_opt < perf:
         raise GuaranteeViolated(
             f"unsplittable optimum {unsplit_opt} minus split optimum {split_opt} "

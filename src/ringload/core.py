@@ -181,6 +181,26 @@ class CrossingRouting:
         )
 
 
+def mask_walk(steps_down, steps_up, mask: int) -> tuple[int, ...]:
+    """Integer walk of a rerouting mask at indices 0..m, anchored at 0:
+    step i goes up by ``steps_up[i]`` when bit i is set, else down by
+    ``steps_down[i]``."""
+    acc = 0
+    out = [0]
+    for i, (down, up) in enumerate(zip(steps_down, steps_up)):
+        acc += up if mask >> i & 1 else -down
+        out.append(acc)
+    return tuple(out)
+
+
+def walk_performance(walk) -> int:
+    """Closed-form performance of a walk: with strip [a, b], start x and
+    end y it is max(2b - x - y, x + y - 2a); for a walk anchored at 0 that
+    is max(2b - y, y - 2a)."""
+    end = walk[-1]
+    return max(2 * max(walk) - end, end - 2 * min(walk))
+
+
 @dataclass(frozen=True)
 class Pattern:
     """An unsplittable rerouting of a crossing routing plus an anchor.
@@ -209,12 +229,7 @@ class Pattern:
         """Trajectory anchored at 0, at indices 0..m, in units of
         ``1 / routing.scaled[0]``."""
         _, us, vs = self.routing.scaled
-        acc = 0
-        out = [0]
-        for i, (down, up) in enumerate(zip(us, vs)):
-            acc += up if self.choices >> i & 1 else -down
-            out.append(acc)
-        return tuple(out)
+        return mask_walk(us, vs, self.choices)
 
     def _value(self, w: int) -> Fraction:
         return self.start + Fraction(w, self.routing.scaled[0])
@@ -236,15 +251,14 @@ class Pattern:
 
     @cached_property
     def performance(self) -> Fraction:
-        """Largest edge-load increase caused by the pattern: with strip
-        [a, b], start x and end y this is max(2b - x - y, x + y - 2a),
-        which does not depend on the anchor."""
+        """Largest edge-load increase caused by the pattern, the closed
+        form of ``walk_performance``; it does not depend on the anchor."""
         walk = self.walk
-        y = walk[-1]
-        perf = max(2 * max(walk) - y, y - 2 * min(walk))
+        perf = walk_performance(walk)
         if __debug__:
             # closed form must agree with the brute per-edge maximum: edge
             # k (1..m) changes by 2 w[k] - w[m], edge k + m by the negation
+            y = walk[-1]
             first = [2 * w - y for w in walk[1:]]
             assert perf == max(first + [-t for t in first])
         return Fraction(perf, self.routing.scaled[0])

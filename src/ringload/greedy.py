@@ -96,7 +96,7 @@ def is_proper(p: Pattern, direction: str, delta) -> bool:
     the strip boundary: forward patterns are judged by their start,
     backward ones by their end (closed interval)."""
     if direction not in (FORWARD, BACKWARD):
-        raise ValueError(f"direction must be {FORWARD!r} or {BACKWARD!r}, got {direction!r}")
+        raise ParameterOutOfRange(f"direction must be {FORWARD!r} or {BACKWARD!r}, got {direction!r}")
     big = p.routing.max_demand
     delta = to_rational(delta)
     anchor = p.start if direction == FORWARD else p.end

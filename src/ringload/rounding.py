@@ -25,12 +25,12 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
-from functools import cached_property
 
 from .core import (
     CrossingRouting,
     Pattern,
     additive_performance,
+    mask_walk,
     to_rational,
 )
 from .errors import GuaranteeViolated, ParameterOutOfRange
@@ -68,7 +68,7 @@ class BoundedRounding:
                 f"{self.certified_bound} * D = {limit}"
             )
 
-    @cached_property
+    @property
     def realized(self) -> Fraction:
         return additive_performance(self.pattern)
 
@@ -204,7 +204,7 @@ def _unrotate_pattern(r: CrossingRouting, rotated: Pattern, shift: int) -> Patte
     choices = (rotated.choices & ((1 << kept) - 1)) << shift
     choices |= ~rotated.choices >> kept & ((1 << shift) - 1)
     denom, us, vs = r.scaled
-    step_sum = sum(v if choices >> i & 1 else -u for i, (u, v) in enumerate(zip(us, vs)))
+    step_sum = mask_walk(us, vs, choices)[-1]
     # both walks share the denominator, so x + y = 2 * start + walk end
     start = rotated.start + Fraction(rotated.walk[-1] - step_sum, 2 * denom)
     pattern = Pattern(r, choices, start)

@@ -1,5 +1,6 @@
 """Worst-case MILP model, LP round-trips, evaluator, heuristic search."""
 
+import hashlib
 from fractions import Fraction
 from random import Random
 
@@ -29,7 +30,6 @@ from ringload import (
     tight_even,
 )
 from ringload import adversary
-from ringload.adversary import _parse_terms
 from ringload.exact import _lowest_performance
 from support import (
     fraction_ascend,
@@ -93,7 +93,18 @@ def test_lp_round_trip(m, reduce_vars, symmetry_break):
     assert render_lp(back) == text
 
 
+def test_render_lp_pinned():
+    digest = hashlib.sha256()
+    for m in range(2, 8):
+        for reduce_vars in (True, False):
+            for symmetry_break in (True, False):
+                model = build_milp(m, reduce_vars=reduce_vars, symmetry_break=symmetry_break)
+                digest.update(render_lp(model).encode())
+    assert digest.hexdigest() == "4b6be9b484a1ebf53c9187d64ac11581d52611d88aa40b37c2cfd92ad8cbe34d"
+
+
 M2_TEXT = render_lp(build_milp(2))
+M2_LINES = M2_TEXT.splitlines(keepends=True)
 
 
 @pytest.mark.parametrize(
@@ -123,11 +134,41 @@ M2_TEXT = render_lp(build_milp(2))
             + "End\n",
             id="size-13",
         ),
+        # rows render_lp would not write, each with only declared variables
+        pytest.param(M2_TEXT.replace("feas_1: u_1 + v_1 <= 1", "feas_1: u_1 + v_1 <= 2"),
+                     id="edited-rhs"),
+        pytest.param(M2_TEXT.replace(" obj_cap_3: E - c_3 <= 0\n", ""), id="dropped-row"),
+        pytest.param("".join(M2_LINES[:3] + [M2_LINES[4], M2_LINES[3]] + M2_LINES[5:]),
+                     id="swapped-rows"),
+        pytest.param(M2_TEXT.replace("Bounds\n", " extra: u_1 - v_1 <= 0\nBounds\n"),
+                     id="extra-row"),
+        pytest.param(M2_TEXT.replace("u_1 + v_1", "u_1+v_1"), id="unspaced-terms"),
     ],
 )
 def test_parse_lp_rejects(text):
     with pytest.raises(ParseError):
         parse_lp(text)
+
+
+def test_parse_lp_ignores_spacing_and_comments():
+    spaced = "\\ written by hand\n\n" + M2_TEXT.replace(" ", "\t  ").replace("+", "+  ")
+    assert parse_lp(spaced) == build_milp(2)
+
+
+def test_parse_lp_refuses_before_building_rows(monkeypatch):
+    # a short text claiming a large model is refused on its declarations,
+    # which are cached per size, before any row of that model is built
+    def no_rows(*args):
+        raise AssertionError("parse_lp built the rows of a model")
+
+    monkeypatch.setattr(adversary, "_rows", no_rows)
+    stub = "".join(f" feas_{i}: u_{i} + v_{i} <= 1\n" for i in range(1, 13))
+    for text in (
+        "Maximize\n obj: E\nSubject To\n" + stub + "End\n",
+        "Maximize\n obj: E\nSubject To\n" + stub + "Bounds\nBinaries\nEnd\n",
+    ):
+        with pytest.raises(ParseError):
+            parse_lp(text)
 
 
 def normalized(r):
@@ -319,24 +360,11 @@ def test_builtin_catalog():
     assert sorted(seven18_alt().demand_values) == sorted(seven18().demand_values)
 
 
-def declarations(text):
-    """Objective terms, free names and binary names of LP text, read
-    line by line the way parse_lp skips blanks and comments."""
-    found = {"Maximize": [], "Bounds": [], "Binaries": []}
-    section = None
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line.startswith(("\\", "*")):
-            continue
-        if line in ("Maximize", "Subject To", "Bounds", "Binaries", "End"):
-            section = line
-        elif section in found:
-            found[section].append(line)
-    return (
-        [_parse_terms(line.partition(":")[2]) for line in found["Maximize"]],
-        [line.split() for line in found["Bounds"]],
-        found["Binaries"],
-    )
+def meaningful_lines(text):
+    """Token lists of the lines of LP text that are neither blank nor
+    comments, the lines parse_lp compares."""
+    lines = [line.split() for line in text.splitlines()]
+    return [tokens for tokens in lines if tokens and not tokens[0].startswith(("\\", "*"))]
 
 
 @settings(max_examples=300)
@@ -346,5 +374,5 @@ def test_parse_lp_fails_only_with_parse_error(text):
         model = parse_lp(text)
     except ParseError:
         return
-    # an accepted text declares exactly what its model renders
-    assert declarations(text) == declarations(render_lp(model))
+    # an accepted text is its model's rendering up to spacing and comments
+    assert meaningful_lines(text) == meaningful_lines(render_lp(model))

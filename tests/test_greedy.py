@@ -94,7 +94,7 @@ def test_is_proper_closed_margins():
     # backward patterns are judged by their end anchor
     assert is_proper(Pattern(r, 1, Fraction(3, 2)), BACKWARD, delta)
     assert not is_proper(Pattern(r, 1, Fraction(7, 4)), BACKWARD, delta)
-    with pytest.raises(ValueError):
+    with pytest.raises(ParameterOutOfRange):
         is_proper(Pattern(r, 1, Fraction(1)), "sideways", delta)
 
 
