@@ -26,7 +26,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
+from functools import lru_cache
 from random import Random
 from typing import ClassVar, NamedTuple
 
@@ -85,10 +85,10 @@ def kept_selectors(m: int, mask: int, reduce_vars: bool) -> tuple[tuple[int, ...
     return keep_min, keep_max
 
 
-@cache
+@lru_cache(maxsize=1)
 def _declarations(m: int, reduce_vars: bool) -> tuple[MilpVariable, ...]:
-    """The variable declarations of every model of size m, built once per
-    ``(m, reduce_vars)`` and shared by all such models."""
+    """The variable declarations of every model of size m, shared by all
+    such models; only the last ``(m, reduce_vars)`` built is kept."""
     out = [MilpVariable(f"{side}_{i}") for side in "uv" for i in range(1, m + 1)]
     out.append(MilpVariable("E"))
     for z in range(1 << m):
@@ -109,7 +109,8 @@ def _declarations(m: int, reduce_vars: bool) -> tuple[MilpVariable, ...]:
 @dataclass(frozen=True)
 class MilpModel:
     """A model is its size and its two switches; its variable declarations
-    and its rows follow from them and are built once per setting."""
+    and its rows follow from them, and those of the last setting built
+    are kept."""
 
     m: int
     reduce_vars: bool
@@ -132,10 +133,10 @@ class MilpModel:
         return tuple(v.name for v in self.variables if v.kind == BINARY)
 
 
-@cache
+@lru_cache(maxsize=1)
 def _rows(m: int, reduce_vars: bool, symmetry_break: bool) -> tuple[LinearConstraint, ...]:
-    """The rows of the size-m model with the given switches, built once
-    per setting and shared by all such models."""
+    """The rows of the size-m model with the given switches, shared by
+    all such models; only the last setting built is kept."""
     masks = range(1 << m)
     lab = {z: _mask_label(z, m) for z in masks}
     kept = {z: kept_selectors(m, z, reduce_vars) for z in masks}
@@ -290,8 +291,8 @@ def parse_lp(text: str) -> MilpModel:
         model = MilpModel(m, binaries < (2 * m + 3) << m, symmetry_break)
     except ParameterOutOfRange as exc:
         raise ParseError(f"{m} feasibility rows: {exc}") from None
-    # declarations first: they are cached per size, while a short text
-    # must not make the parser build the rows of a large model
+    # declarations first: a short text must not make the parser build
+    # the rows of a large model
     head = found.index(["Bounds"])
     _expect_lines(found[head:], _declaration_lines(m, model.reduce_vars), m)
     _expect_lines(found[:head], _row_lines(model), m)

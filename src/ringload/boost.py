@@ -31,7 +31,7 @@ from typing import ClassVar, Union
 from .core import CrossingRouting, LoadProfile, RingInstance, ccw_edges, cw_edges
 from .core import integer_arc_loads
 from .errors import GuaranteeViolated
-from .exact import DEFAULT_CAP, min_additive_performance, optimal_unsplittable_boosted
+from .exact import min_additive_performance, optimal_unsplittable_boosted
 from .exact import split_optimum_boosted
 from .reduce import GeneralSplitRouting
 
@@ -215,15 +215,15 @@ class BoostReport:
         return self.unsplittable_optimum - self.split_optimum
 
 
-def verify_boost(b: BoostedInstance, cap: int = DEFAULT_CAP) -> BoostReport:
+def verify_boost(b: BoostedInstance) -> BoostReport:
     """Check L - L* >= min additive performance of the source, exactly.
 
     Raises GuaranteeViolated if the enumeration contradicts the bound, which
     would mean the construction (not the inputs) is broken.
     """
-    perf, _ = min_additive_performance(b.source, cap)
+    perf, _ = min_additive_performance(b.source)
     split_opt = split_optimum_boosted(b)
-    unsplit_opt, _ = optimal_unsplittable_boosted(b, cap)
+    unsplit_opt, _ = optimal_unsplittable_boosted(b)
     if unsplit_opt - split_opt < perf:
         raise GuaranteeViolated(
             f"unsplittable optimum {unsplit_opt} minus split optimum {split_opt} "

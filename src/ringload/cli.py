@@ -19,6 +19,7 @@ guarantee failed (diagnostics on stderr).
 from __future__ import annotations
 
 import argparse
+import inspect
 import re
 import sys
 from dataclasses import dataclass
@@ -337,16 +338,16 @@ def cmd_gen(args) -> int:
             f"unknown instance {args.name!r}; available: {', '.join(sorted(catalog))}"
         )
     maker = catalog[args.name]
-    if args.name in ("skutella8", "skutella8_uniform"):
-        r = maker(args.eps) if args.eps is not None else maker()
-    elif args.name == "tight_even":
-        if args.m is None:
-            raise ParseError("tight_even needs --m <even count>")
-        r = maker(args.m)
-    else:
-        if args.eps is not None or args.m is not None:
-            raise ParseError(f"{args.name} takes no --eps/--m arguments")
-        r = maker()
+    # each option is passed as the generator's parameter of the same name
+    params = inspect.signature(maker).parameters
+    given = {key: value for key in ("eps", "m") if (value := getattr(args, key)) is not None}
+    for key in given:
+        if key not in params:
+            raise ParseError(f"{args.name} takes no --{key} argument")
+    for key, param in params.items():
+        if param.default is param.empty and key not in given:
+            raise ParseError(f"{args.name} needs --{key}")
+    r = maker(**given)
     comments = (f"built-in instance {args.name}",)
     _write_out(dump_crossing(r, comments), args.out)
     return 0

@@ -72,14 +72,14 @@ def _lowest_performance(
     return found
 
 
-def min_additive_performance(r: CrossingRouting, cap: int = DEFAULT_CAP) -> PerformanceOptimum:
+def min_additive_performance(r: CrossingRouting) -> PerformanceOptimum:
     """Smallest additive performance over all 2^m complete reroutings of
     a crossing routing, with the lowest optimal mask as witness pattern
     anchored at 0, found by branch-and-bound on the integer walk of
     ``r.scaled``."""
     m = r.m
-    if m > cap:
-        raise TooLarge(f"2^{m} reroutings exceeds the enumeration cap 2^{cap}")
+    if m > DEFAULT_CAP:
+        raise TooLarge(f"2^{m} reroutings exceeds the enumeration cap 2^{DEFAULT_CAP}")
     denom, steps_down, steps_up = r.scaled
     best, best_mask = _lowest_performance(steps_down, steps_up)
     value = Fraction(best, denom)
@@ -96,9 +96,7 @@ class UnsplittableOptimum(NamedTuple):
     routing: GeneralSplitRouting
 
 
-def _enumerate_unsplittable(
-    base: GeneralSplitRouting, free: list[int], cap: int
-) -> UnsplittableOptimum:
+def _enumerate_unsplittable(base: GeneralSplitRouting, free: list[int]) -> UnsplittableOptimum:
     """Minimize the maximum edge load over all one-sided routings of the
     ``free`` demands, keeping the rest as routed in ``base``.
 
@@ -110,8 +108,8 @@ def _enumerate_unsplittable(
     partial peak reaches the incumbent is pruned.
     """
     k = len(free)
-    if k > cap:
-        raise TooLarge(f"2^{k} routings exceeds the enumeration cap 2^{cap}")
+    if k > DEFAULT_CAP:
+        raise TooLarge(f"2^{k} routings exceeds the enumeration cap 2^{DEFAULT_CAP}")
     instance = base.instance
     demands = instance.demands
     denom, values, parts = base.scaled
@@ -175,21 +173,21 @@ def _enumerate_unsplittable(
     return UnsplittableOptimum(result, witness)
 
 
-def optimal_unsplittable(instance: RingInstance, demand_cap: int = DEFAULT_CAP) -> UnsplittableOptimum:
+def optimal_unsplittable(instance: RingInstance) -> UnsplittableOptimum:
     """Exact unsplittable optimum of a general ring instance, searched
     over the directions of the demands with positive value (zero-value
     demands are reported counter-clockwise in the witness)."""
     free = [t for t, (_, _, d) in enumerate(instance.demands) if d > 0]
     base = GeneralSplitRouting(instance, (Fraction(0),) * len(instance.demands))
-    return _enumerate_unsplittable(base, free, demand_cap)
+    return _enumerate_unsplittable(base, free)
 
 
-def optimal_unsplittable_boosted(boosted, cap: int = DEFAULT_CAP) -> UnsplittableOptimum:
+def optimal_unsplittable_boosted(boosted) -> UnsplittableOptimum:
     """Unsplittable optimum of a boosted instance with every short demand
     pinned to its home path; only the 2^m crossing reroutings are
     searched."""
     free = [t for t, component in enumerate(boosted.components) if component.kind == "crossing"]
-    return _enumerate_unsplittable(boosted.canonical_routing, free, cap)
+    return _enumerate_unsplittable(boosted.canonical_routing, free)
 
 
 def split_optimum_crossing(r: CrossingRouting) -> Fraction:

@@ -18,8 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from .core import CrossingRouting, LoadProfile, RingInstance, to_rational
-from .core import ccw_edges, cw_edges, integer_arc_loads
+from .core import CrossingRouting, LoadProfile, RingInstance, integer_arc_loads, to_rational
 from .errors import GuaranteeViolated, MalformedRouting
 
 CW = "cw"
@@ -108,10 +107,10 @@ class UncrossStep:
 def uncross_parallel(s: GeneralSplitRouting) -> tuple[GeneralSplitRouting, tuple[UncrossStep, ...]]:
     """Exchange flow between parallel split demands until all remaining
     split demands pairwise cross.  Each exchange pushes both demands onto
-    edge-disjoint paths, so no edge load ever increases (checked), and at
-    least one of the two demands becomes one-sided.  The loop runs on
-    integers over ``s.scaled``; an exchange amount is a difference of
-    existing parts."""
+    edge-disjoint paths, read off the order of their endpoints, so no edge
+    load ever increases (checked), and at least one of the two demands
+    becomes one-sided.  The loop runs on integers over ``s.scaled``; an
+    exchange amount is a difference of existing parts."""
     instance = s.instance
     n = instance.n
     demands = instance.demands
@@ -141,18 +140,10 @@ def uncross_parallel(s: GeneralSplitRouting) -> tuple[GeneralSplitRouting, tuple
             ib, jb, _ = demands[sb]
             if not 0 < cw[sb] < value[sb] or demands_cross((ia, ja), (ib, jb)):
                 continue
-            combo = next((
-                (pa, pb)
-                for pa, ea in ((CW, cw_edges(ia, ja)), (CCW, ccw_edges(n, ia, ja)))
-                for pb, eb in ((CW, cw_edges(ib, jb)), (CCW, ccw_edges(n, ib, jb)))
-                if not ea & eb
-            ), None)
-            if combo is None:
-                raise MalformedRouting(
-                    f"no edge-disjoint path combination for parallel demands "
-                    f"({ia},{ja}) and ({ib},{jb})"
-                )
-            pa, pb = combo
+            # ia <= ib and the spans do not cross, so the endpoint order names
+            # the edge-disjoint pair: disjoint spans both go clockwise; of two
+            # nested spans the inner goes clockwise, the outer counter-clockwise
+            pa, pb = (CW, CW) if ja <= ib else (CCW, CW) if jb <= ja else (CW, CCW)
             # amount limited by the flow still on each complement path
             room_a = value[sa] - cw[sa] if pa == CW else cw[sa]
             room_b = value[sb] - cw[sb] if pb == CW else cw[sb]
@@ -225,21 +216,13 @@ def to_crossing_form(s: GeneralSplitRouting) -> ReductionResult:
     instance = base.instance
     n = instance.n
     demands = instance.demands
-    cw = base.clockwise
-
-    split_idx = base.split_indices()
-    split_set = set(split_idx)
-    fixed: list[str | None] = []
-    for t, (i, j, value) in enumerate(demands):
-        if t in split_set:
-            fixed.append(None)
-        elif value > 0 and cw[t] == value:
-            fixed.append(CW)
-        else:
-            fixed.append(CCW)
+    denom, values, scaled_cw = base.scaled
+    split_idx = tuple(t for t, (c, v) in enumerate(zip(scaled_cw, values)) if 0 < c < v)
+    fixed = tuple(None if 0 < c < v else CW if 0 < v == c else CCW
+                  for c, v in zip(scaled_cw, values))
 
     if not split_idx:
-        trace = ReductionTrace(base, steps, (), tuple(fixed), (), ())
+        trace = ReductionTrace(base, steps, (), fixed, (), ())
         return ReductionResult(None, trace)
 
     # crossing demands never share endpoints; anything else is an
@@ -267,7 +250,6 @@ def to_crossing_form(s: GeneralSplitRouting) -> ReductionResult:
 
     # contraction is only sound if the split-demand loads agree on all
     # edges being merged together
-    denom, values, scaled_cw = base.scaled
     split_profile = integer_arc_loads(n, (
         (demands[t][0], demands[t][1], scaled_cw[t], values[t] - scaled_cw[t]) for t in split_idx
     ))
@@ -297,8 +279,7 @@ def to_crossing_form(s: GeneralSplitRouting) -> ReductionResult:
     if len(keys) != m:
         raise GuaranteeViolated(f"{len(keys)} relabelled demands, not {m}")
 
-    u = tuple(cw[t] for t in keys)
-    v = tuple(demands[t][2] - cw[t] for t in keys)
-    routing = CrossingRouting(u, v)
-    trace = ReductionTrace(base, steps, keys, tuple(fixed), tuple(images), tuple(kept))
+    cw = base.clockwise
+    routing = CrossingRouting(tuple(cw[t] for t in keys), tuple(demands[t][2] - cw[t] for t in keys))
+    trace = ReductionTrace(base, steps, keys, fixed, tuple(images), tuple(kept))
     return ReductionResult(routing, trace)

@@ -157,7 +157,7 @@ def test_parse_lp_ignores_spacing_and_comments():
 
 def test_parse_lp_refuses_before_building_rows(monkeypatch):
     # a short text claiming a large model is refused on its declarations,
-    # which are cached per size, before any row of that model is built
+    # before any row of that model is built
     def no_rows(*args):
         raise AssertionError("parse_lp built the rows of a model")
 
@@ -169,6 +169,17 @@ def test_parse_lp_refuses_before_building_rows(monkeypatch):
     ):
         with pytest.raises(ParseError):
             parse_lp(text)
+
+
+def test_model_caches_keep_only_the_last_setting():
+    # rows and declarations of every size built would otherwise stay
+    # resident for the life of the process
+    first, last = build_milp(3), build_milp(4, reduce_vars=False)
+    assert first.constraints and first.variables
+    assert last.constraints and last.variables
+    assert adversary._rows.cache_info().currsize == 1
+    assert adversary._declarations.cache_info().currsize == 1
+    assert build_milp(4, reduce_vars=False).constraints is last.constraints
 
 
 def normalized(r):

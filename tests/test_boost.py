@@ -25,6 +25,7 @@ from ringload import (
     tight_even,
     verify_boost,
 )
+from ringload import exact
 from support import crossing_routings, lopsided, rescanning_boost, tie_heavy
 
 
@@ -138,9 +139,11 @@ def test_verify_boost_failure_path():
         verify_boost(broken)
 
 
-def test_verify_boost_cap_passthrough():
+def test_verify_boost_cap_passthrough(monkeypatch):
+    # verify_boost's oracles read the one enumeration cap when called
+    monkeypatch.setattr(exact, "DEFAULT_CAP", 2)
     with pytest.raises(TooLarge):
-        verify_boost(boost(tight3()), cap=2)
+        verify_boost(boost(tight3()))
 
 
 @pytest.mark.parametrize(

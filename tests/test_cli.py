@@ -231,6 +231,17 @@ def test_missing_file_and_unknown_name(tmp_path, capsys):
     assert code == 2 and "--m" in err
 
 
+@pytest.mark.parametrize("argv, option", [
+    (("skutella8", "--m", "4"), "--m"),
+    (("tight_even", "--m", "4", "--eps", "1"), "--eps"),
+    (("tight3", "--m", "4"), "--m"),
+])
+def test_gen_refuses_arguments_the_generator_does_not_take(capsys, argv, option):
+    code, out, err = run(capsys, "gen", *argv)
+    assert code == 2 and not out
+    assert f"takes no {option}" in err
+
+
 def test_method_domain_error_exits_2(tmp_path, capsys):
     path = tmp_path / "s.txt"
     run(capsys, "gen", "seven18", "--out", str(path))

@@ -86,14 +86,17 @@ def test_min_performance_goldens():
         assert min_additive_performance(r).value == r.max_demand
 
 
-def test_enumeration_caps():
+def test_enumeration_caps(monkeypatch):
     with pytest.raises(TooLarge):
         min_additive_performance(CrossingRouting((1,) * 25, (1,) * 25))
+    # the guards read the one cap when called
+    monkeypatch.setattr(exact, "DEFAULT_CAP", 5)
     with pytest.raises(TooLarge):
-        min_additive_performance(tight6(), cap=5)
+        min_additive_performance(tight6())
+    monkeypatch.setattr(exact, "DEFAULT_CAP", 1)
     inst = RingInstance(4, ((1, 3, Fraction(1)), (2, 4, Fraction(1))))
     with pytest.raises(TooLarge):
-        optimal_unsplittable(inst, demand_cap=1)
+        optimal_unsplittable(inst)
 
 
 def test_oracle_witnesses_are_rechecked(monkeypatch):
@@ -141,7 +144,7 @@ def test_unsplittable_optimum_matches_gray_code(g):
     # every other demand free and the rest kept at their given split, so
     # loaded edges can lie before the first free endpoint (the wrapping run)
     free = positive[1::2]
-    value, witness = exact._enumerate_unsplittable(g, free, exact.DEFAULT_CAP)
+    value, witness = exact._enumerate_unsplittable(g, free)
     expected = gray_code_unsplittable(instance, list(g.clockwise), free)
     assert (value, witness.clockwise) == expected
 

@@ -1,6 +1,7 @@
 """Reduction to crossing form: uncrossing, contraction, lifting."""
 
 from fractions import Fraction
+from itertools import combinations, permutations
 from random import Random
 
 import pytest
@@ -126,12 +127,23 @@ def test_uncross_resumes_the_scan_after_an_exchange():
     assert (out, steps) == naive_uncross(g)
 
 
+def test_uncross_every_parallel_span_pair():
+    """Every ordered pair of distinct, non-crossing spans on a 7-ring,
+    both split, uncrosses exactly like the reference search over paths."""
+    spans = list(combinations(range(1, 8), 2))
+    pairs = [(a, b) for a, b in permutations(spans, 2) if not demands_cross(a, b)]
+    assert len(pairs) == 2 * 175
+    for a, b in pairs:
+        inst = RingInstance(7, (a + (Fraction(3),), b + (Fraction(2),)))
+        g = GeneralSplitRouting(inst, (Fraction(1), Fraction(1)))
+        assert uncross_parallel(g) == naive_uncross(g)
+
+
 def test_uncross_guarantees_are_checked_not_asserted(monkeypatch):
-    # with empty paths every combination looks edge-disjoint, so the
-    # nested pair (1,5)/(2,4) is pushed onto overlapping clockwise arcs
-    monkeypatch.setattr(reduce_module, "cw_edges", lambda i, j: frozenset())
-    monkeypatch.setattr(reduce_module, "ccw_edges", lambda n, i, j: frozenset())
-    inst = RingInstance(6, ((1, 5, Fraction(2)), (2, 4, Fraction(2))))
+    # taken for parallel, the crossing pair (1,4)/(2,5) is read as nested
+    # and pushed onto paths that share edge 1, which raises its load
+    monkeypatch.setattr(reduce_module, "demands_cross", lambda a, b: False)
+    inst = RingInstance(6, ((1, 4, Fraction(2)), (2, 5, Fraction(2))))
     g = GeneralSplitRouting(inst, (Fraction(1), Fraction(1)))
     with pytest.raises(GuaranteeViolated):
         uncross_parallel(g)
