@@ -64,8 +64,11 @@ class BoostedInstance:
     ``components[t]`` explains demand t of ``instance``; routing every
     short on its home path while splitting each crossing demand as in
     ``source`` loads every edge to exactly ``equalized_load``.  That
-    canonical routing and its loads are built once, on first use, and
-    cached outside the dataclass fields.
+    canonical routing, its integers and its integer loads are built once,
+    on first use, and cached outside the dataclass fields; the
+    equalization check, the split optimum and the unsplittable oracle
+    all read the one integer view, and rationals appear only in
+    ``canonical_loads``.
     """
 
     instance: RingInstance
@@ -96,9 +99,16 @@ class BoostedInstance:
         return GeneralSplitRouting(self.instance, tuple(cw))
 
     @cached_property
+    def canonical_scaled(self) -> tuple[tuple[int, tuple[int, ...], tuple[int, ...]], list[int]]:
+        """``(scaled, loads)``: ``canonical_routing.scaled`` and the
+        routing's integer edge loads in its units."""
+        return self.canonical_routing.scaled_loads()
+
+    @cached_property
     def canonical_loads(self) -> LoadProfile:
         """Edge loads of ``canonical_routing``."""
-        return self.canonical_routing.loads()
+        (denom, _, _), loads = self.canonical_scaled
+        return LoadProfile.from_scaled(denom, loads)
 
 
 def boost(r: CrossingRouting) -> BoostedInstance:
@@ -193,8 +203,10 @@ def boost(r: CrossingRouting) -> BoostedInstance:
     boosted = BoostedInstance(instance, r, tuple(components), equalized, dropped)
 
     # routing everything canonically must load every edge to exactly the
-    # source's maximum split load
-    if any(x != equalized for x in boosted.canonical_loads):
+    # source's maximum split load; the canonical routing's denominator
+    # need not be ``denom``, so compare cross-multiplied
+    (canonical_denom, _, _), canonical = boosted.canonical_scaled
+    if any(x * denom != top * canonical_denom for x in canonical):
         raise GuaranteeViolated(f"boost failed to equalize at {equalized}")
     return boosted
 

@@ -71,7 +71,7 @@ class RingInstance:
                 raise MalformedRouting(f"duplicate demand for node pair ({i}, {j})")
             seen.add((i, j))
             value = to_rational(value)
-            if value < 0:
+            if value.numerator < 0:
                 raise MalformedRouting(f"negative demand value: {entry!r}")
             norm.append((i, j, value))
         object.__setattr__(self, "demands", tuple(norm))
@@ -278,8 +278,15 @@ class LoadProfile:
 
     @classmethod
     def from_scaled(cls, denom: int, loads) -> LoadProfile:
-        """The profile of integer loads in units of ``1 / denom``."""
-        return cls(tuple(Fraction(x, denom) for x in loads))
+        """The profile of integer loads in units of ``1 / denom``
+        (``denom > 0``).  The sign is checked on the integers, so the
+        entries skip the per-entry validation of ``LoadProfile(...)``."""
+        loads = tuple(loads)
+        if min(loads, default=0) < 0:
+            raise MalformedRouting("negative entry in a load profile")
+        profile = object.__new__(cls)
+        object.__setattr__(profile, "loads", tuple(Fraction(x, denom) for x in loads))
+        return profile
 
     @property
     def max_load(self) -> Fraction:

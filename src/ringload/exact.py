@@ -96,23 +96,25 @@ class UnsplittableOptimum(NamedTuple):
     routing: GeneralSplitRouting
 
 
-def _enumerate_unsplittable(base: GeneralSplitRouting, free: list[int]) -> UnsplittableOptimum:
+def _enumerate_unsplittable(
+    base: GeneralSplitRouting, free: list[int], scaled: tuple[int, Sequence[int], Sequence[int]]
+) -> UnsplittableOptimum:
     """Minimize the maximum edge load over all one-sided routings of the
     ``free`` demands, keeping the rest as routed in ``base``.
 
-    Depth-first branch-and-bound on the integers of ``base.scaled``.
-    The fixed demands load the ring first; then free position k-1 is
-    placed first, counter-clockwise (bit clear) before clockwise, so
-    leaves arrive in ascending mask order and the first optimum reached
-    is the lowest mask.  Placing a demand only adds load, so a child whose
-    partial peak reaches the incumbent is pruned.
+    Depth-first branch-and-bound on ``scaled``, the caller's copy of
+    ``base.scaled``.  The fixed demands load the ring first; then free
+    position k-1 is placed first, counter-clockwise (bit clear) before
+    clockwise, so leaves arrive in ascending mask order and the first
+    optimum reached is the lowest mask.  Placing a demand only adds load,
+    so a child whose partial peak reaches the incumbent is pruned.
     """
     k = len(free)
     if k > DEFAULT_CAP:
         raise TooLarge(f"2^{k} routings exceeds the enumeration cap 2^{DEFAULT_CAP}")
     instance = base.instance
     demands = instance.demands
-    denom, values, parts = base.scaled
+    denom, values, parts = scaled
     free_set = set(free)
     loads = integer_arc_loads(instance.n, (
         (i, j, parts[t], values[t] - parts[t])
@@ -130,22 +132,22 @@ def _enumerate_unsplittable(base: GeneralSplitRouting, free: list[int]) -> Unspl
         peaks = [max(loads[lo:hi]) for lo, hi in zip(cuts, cuts[1:])]
         peaks.append(max(loads[cuts[-1]:] + loads[:cuts[0]]))
         run_count = len(cuts)
-        # per free position: scaled value, then its counter-clockwise and
-        # clockwise arcs as spans [lo, hi) of runs
+        # per free position: scaled value, then the runs of its
+        # counter-clockwise arc (wrapping past the last run) and of its
+        # clockwise arc
         placements = []
         for t in free:
             i, j, _ = demands[t]
             lo, hi = run_of[i - 1], run_of[j - 1]
-            ccw = ((hi, run_count), (0, lo)) if lo else ((hi, run_count),)
-            placements.append((values[t], ccw, ((lo, hi),)))
+            ccw = (*range(hi, run_count), *range(lo))
+            placements.append((values[t], ccw, tuple(range(lo, hi))))
 
         def descend(pos: int, peak: int, mask: int) -> None:
             nonlocal best, best_mask
             pos -= 1
             value, ccw, cw = placements[pos]
-            for spans, choice in ((ccw, mask), (cw, mask | 1 << pos)):
-                saved = [peaks[lo:hi] for lo, hi in spans]
-                top = value + max(map(max, saved))
+            for runs, choice in ((ccw, mask), (cw, mask | 1 << pos)):
+                top = value + max([peaks[r] for r in runs])
                 if top < peak:
                     top = peak
                 if top >= best:
@@ -153,11 +155,11 @@ def _enumerate_unsplittable(base: GeneralSplitRouting, free: list[int]) -> Unspl
                 if not pos:
                     best, best_mask = top, choice
                     continue
-                for (lo, hi), span in zip(spans, saved):
-                    peaks[lo:hi] = [x + value for x in span]
+                for r in runs:
+                    peaks[r] += value
                 descend(pos, top, choice)
-                for (lo, hi), span in zip(spans, saved):
-                    peaks[lo:hi] = span
+                for r in runs:
+                    peaks[r] -= value
 
         best += sum(value for value, _, _ in placements) + 1  # above every bound
         descend(k, max(peaks), 0)
@@ -179,7 +181,7 @@ def optimal_unsplittable(instance: RingInstance) -> UnsplittableOptimum:
     demands are reported counter-clockwise in the witness)."""
     free = [t for t, (_, _, d) in enumerate(instance.demands) if d > 0]
     base = GeneralSplitRouting(instance, (Fraction(0),) * len(instance.demands))
-    return _enumerate_unsplittable(base, free)
+    return _enumerate_unsplittable(base, free, base.scaled)
 
 
 def optimal_unsplittable_boosted(boosted) -> UnsplittableOptimum:
@@ -187,7 +189,8 @@ def optimal_unsplittable_boosted(boosted) -> UnsplittableOptimum:
     pinned to its home path; only the 2^m crossing reroutings are
     searched."""
     free = [t for t, component in enumerate(boosted.components) if component.kind == "crossing"]
-    return _enumerate_unsplittable(boosted.canonical_routing, free)
+    scaled, _ = boosted.canonical_scaled
+    return _enumerate_unsplittable(boosted.canonical_routing, free, scaled)
 
 
 def split_optimum_crossing(r: CrossingRouting) -> Fraction:
@@ -206,11 +209,11 @@ def split_optimum_boosted(boosted) -> Fraction:
     """Split optimum of a boosted instance, recomputed from its canonical
     configuration: source splits on the crossing demands, home paths for
     the shorts.  All edge loads must agree, otherwise the instance is not
-    properly equalized."""
-    profile = boosted.canonical_loads
-    first = profile.loads[0]
-    if any(x != first for x in profile):
+    properly equalized; they are compared on the integers."""
+    (denom, _, _), loads = boosted.canonical_scaled
+    first = loads[0]
+    if any(x != first for x in loads):
         raise GuaranteeViolated(
-            f"canonical configuration loads {tuple(profile)} are not all equal"
+            f"canonical configuration loads {tuple(boosted.canonical_loads)} are not all equal"
         )
-    return first
+    return Fraction(first, denom)

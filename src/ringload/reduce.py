@@ -42,7 +42,7 @@ class GeneralSplitRouting:
                 f"{len(demands)} demands but {len(cw)} clockwise parts"
             )
         for part, (i, j, value) in zip(cw, demands):
-            if not 0 <= part <= value:
+            if part.numerator < 0 or part > value:
                 raise MalformedRouting(
                     f"clockwise part {part} outside [0, {value}] for demand ({i},{j})"
                 )
@@ -78,10 +78,17 @@ class GeneralSplitRouting:
         )
 
     def loads(self) -> LoadProfile:
-        denom, values, cw = self.scaled
-        return LoadProfile.from_scaled(denom, integer_arc_loads(self.instance.n, (
+        (denom, _, _), loads = self.scaled_loads()
+        return LoadProfile.from_scaled(denom, loads)
+
+    def scaled_loads(self) -> tuple[tuple[int, tuple[int, ...], tuple[int, ...]], list[int]]:
+        """``(scaled, loads)``: one computation of ``scaled`` and the
+        integer edge loads in its units."""
+        scaled = self.scaled
+        _, values, cw = scaled
+        return scaled, integer_arc_loads(self.instance.n, (
             (i, j, c, v - c) for (i, j, _), v, c in zip(self.instance.demands, values, cw)
-        )))
+        ))
 
 
 def demands_cross(a: tuple[int, int], b: tuple[int, int]) -> bool:

@@ -128,6 +128,15 @@ def test_boost_structure(r):
     assert split_optimum_boosted(b) == b.equalized_load
 
 
+@settings(max_examples=40)
+@given(crossing_routings(max_m=5))
+def test_canonical_integer_view_matches_rational_loads(r):
+    # the cached integer view reproduces the routing's own rational loads
+    b = boost(r)
+    assert b.canonical_loads == b.canonical_routing.loads()
+    assert split_optimum_boosted(b) == b.equalized_load
+
+
 def test_verify_boost_failure_path():
     # grafting a harder source onto an easier boosted instance must trip
     # the bound check: the gap stays 11 but the claimed source needs 19

@@ -97,6 +97,18 @@ def test_load_profile_sign_discipline():
     assert profile.max_load == 1
     assert len(profile) == 2
     assert list(profile) == [1, 0]
+    # from_scaled checks the sign on the integers it is given
+    with pytest.raises(MalformedRouting):
+        LoadProfile.from_scaled(3, [1, -1])
+
+
+@given(st.integers(1, 60), st.lists(st.integers(0, 200), min_size=1, max_size=12))
+def test_load_profile_from_scaled_matches_validated_profile(denom, ints):
+    scaled = LoadProfile.from_scaled(denom, ints)
+    validated = LoadProfile(tuple(Fraction(x, denom) for x in ints))
+    assert scaled == validated
+    assert hash(scaled) == hash(validated)
+    assert all(type(x) is Fraction for x in scaled)
 
 
 def test_catalog_split_profiles():

@@ -112,6 +112,11 @@ def test_oracle_witnesses_are_rechecked(monkeypatch):
     )
     with pytest.raises(GuaranteeViolated):
         optimal_unsplittable(RingInstance(4, ((1, 2, Fraction(1)), (1, 3, Fraction(2)))))
+    # the boosted oracle re-checks its witness too, although its integers
+    # come from the instance's cached view (`boost` builds its canonical
+    # routing through its own import, which the patch leaves alone)
+    with pytest.raises(GuaranteeViolated, match="witness routing loads"):
+        optimal_unsplittable_boosted(boost(skutella8(0)))
 
 
 @pytest.mark.parametrize("r", BEYOND_M7)
@@ -144,7 +149,7 @@ def test_unsplittable_optimum_matches_gray_code(g):
     # every other demand free and the rest kept at their given split, so
     # loaded edges can lie before the first free endpoint (the wrapping run)
     free = positive[1::2]
-    value, witness = exact._enumerate_unsplittable(g, free)
+    value, witness = exact._enumerate_unsplittable(g, free, g.scaled)
     expected = gray_code_unsplittable(instance, list(g.clockwise), free)
     assert (value, witness.clockwise) == expected
 
