@@ -42,7 +42,8 @@ class GeneralSplitRouting:
                 f"{len(demands)} demands but {len(cw)} clockwise parts"
             )
         for part, (i, j, value) in zip(cw, demands):
-            if part.numerator < 0 or part > value:
+            # part > value, cross-multiplied on the (positive) denominators
+            if part.numerator < 0 or part.numerator * value.denominator > value.numerator * part.denominator:
                 raise MalformedRouting(
                     f"clockwise part {part} outside [0, {value}] for demand ({i},{j})"
                 )
@@ -114,22 +115,18 @@ class UncrossStep:
 def uncross_parallel(s: GeneralSplitRouting) -> tuple[GeneralSplitRouting, tuple[UncrossStep, ...]]:
     """Exchange flow between parallel split demands until all remaining
     split demands pairwise cross.  Each exchange pushes both demands onto
-    edge-disjoint paths, read off the order of their endpoints, so no edge
-    load ever increases (checked), and at least one of the two demands
-    becomes one-sided.  The loop runs on integers over ``s.scaled``; an
-    exchange amount is a difference of existing parts."""
+    edge-disjoint paths, read off the order of their endpoints, and at
+    least one of the two demands becomes one-sided.  No edge load may
+    rise: loads are linear in the parts, so each exchange is checked by
+    sweeping the load change of its two demands alone, O(n), and
+    raising if it is positive on any edge.  The loop runs on integers
+    over ``s.scaled``; an exchange amount is a difference of existing
+    parts."""
     instance = s.instance
     n = instance.n
     demands = instance.demands
     denom, value, cw = s.scaled
     cw = list(cw)
-
-    def loads():
-        return integer_arc_loads(n, (
-            (i, j, cw[t], value[t] - cw[t]) for t, (i, j, _) in enumerate(demands)
-        ))
-
-    before = loads()
     steps: list[UncrossStep] = []
     # pairs in order of endpoint labels, then index; crossing depends on
     # the endpoints alone and a demand that became one-sided is never
@@ -157,14 +154,14 @@ def uncross_parallel(s: GeneralSplitRouting) -> tuple[GeneralSplitRouting, tuple
             amount = min(room_a, room_b)
             if amount <= 0:
                 raise GuaranteeViolated(f"uncrossing amount {Fraction(amount, denom)} is not positive")
-            cw[sa] += amount if pa == CW else -amount
-            cw[sb] += amount if pb == CW else -amount
+            da = amount if pa == CW else -amount
+            db = amount if pb == CW else -amount
+            cw[sa] += da
+            cw[sb] += db
             if 0 < cw[sa] < value[sa] and 0 < cw[sb] < value[sb]:
                 raise GuaranteeViolated(f"neither ({ia},{ja}) nor ({ib},{jb}) came off the fence")
-            after = loads()
-            if any(x > y for x, y in zip(after, before)):
+            if max(integer_arc_loads(n, ((ia, ja, da, -da), (ib, jb, db, -db)))) > 0:
                 raise GuaranteeViolated(f"uncrossing ({ia},{ja}) and ({ib},{jb}) raised a load")
-            before = after
             steps.append(UncrossStep(sa, sb, pa, pb, Fraction(amount, denom)))
     return GeneralSplitRouting(instance, tuple(Fraction(x, denom) for x in cw)), tuple(steps)
 

@@ -5,7 +5,7 @@ from itertools import combinations, permutations
 from random import Random
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given, strategies as st
 
 from ringload import (
     CW,
@@ -42,6 +42,27 @@ def test_general_routing_validation():
     g = GeneralSplitRouting(inst, (Fraction(1),))
     assert g.split_indices() == (0,)
     assert GeneralSplitRouting(inst, (Fraction(4),)).split_indices() == ()
+    # the part bound is checked across denominators
+    quarters = RingInstance(5, ((1, 3, Fraction(9, 4)), (2, 4, Fraction(0))))
+    assert GeneralSplitRouting(quarters, (Fraction(9, 4), Fraction(0))).split_indices() == ()
+    for parts in ((Fraction(7, 3), Fraction(0)), (Fraction(-1, 5), Fraction(0))):
+        with pytest.raises(MalformedRouting, match="outside"):
+            GeneralSplitRouting(quarters, parts)
+
+
+@given(
+    st.fractions(min_value=-2, max_value=6, max_denominator=9),
+    st.fractions(min_value=0, max_value=6, max_denominator=9),
+)
+def test_part_bound_across_denominators(part, value):
+    """The integer part check accepts exactly the parts in [0, value]."""
+    assume(part.denominator != value.denominator)
+    inst = RingInstance(4, ((1, 3, value),))
+    if 0 <= part <= value:
+        assert GeneralSplitRouting(inst, (part,)).clockwise == (part,)
+    else:
+        with pytest.raises(MalformedRouting, match="outside"):
+            GeneralSplitRouting(inst, (part,))
 
 
 @given(general_routings())
@@ -116,6 +137,28 @@ def test_uncross_matches_fraction_reference():
         assert uncross_parallel(g) == naive_uncross(g)
 
 
+def test_uncross_matches_fraction_reference_at_benchmark_size():
+    """30 split and 30 one-sided demands on a 14-ring, the largest
+    routings the ring_reduce benchmark draws."""
+    rng = Random(14)
+    pairs = [(i, j) for i in range(1, 15) for j in range(i + 1, 15)]
+    for _ in range(3):
+        demands = []
+        parts = []
+        for idx, (i, j) in enumerate(rng.sample(pairs, 60)):
+            den = rng.randint(1, 8)
+            value = Fraction(rng.randint(1, 24), den)
+            demands.append((i, j, value))
+            if idx < 30:
+                parts.append(value * Fraction(rng.randint(1, 4 * den), 4 * den + 1))
+            else:
+                parts.append(value if rng.random() < 0.5 else Fraction(0))
+        g = GeneralSplitRouting(RingInstance(14, tuple(demands)), tuple(parts))
+        out, steps = uncross_parallel(g)
+        assert steps
+        assert (out, steps) == naive_uncross(g)
+
+
 def test_uncross_resumes_the_scan_after_an_exchange():
     # three mutually parallel split demands: (1,2) survives its exchange
     # with (3,4) and then pairs with the later (5,6)
@@ -147,6 +190,21 @@ def test_uncross_guarantees_are_checked_not_asserted(monkeypatch):
     g = GeneralSplitRouting(inst, (Fraction(1), Fraction(1)))
     with pytest.raises(GuaranteeViolated):
         uncross_parallel(g)
+
+
+def test_uncross_checks_every_exchange(monkeypatch):
+    # (1,2)/(3,4) exchange validly first; the crossing pair (5,7)/(6,8),
+    # taken for parallel, is then pushed onto paths sharing edge 5
+    monkeypatch.setattr(reduce_module, "demands_cross", lambda a, b: False)
+    inst = RingInstance(8, tuple((i, j, Fraction(2)) for i, j in ((1, 2), (3, 4), (5, 7), (6, 8))))
+    g = GeneralSplitRouting(inst, (Fraction(1),) * 4)
+    checked = []
+    sweep = reduce_module.integer_arc_loads
+    monkeypatch.setattr(reduce_module, "integer_arc_loads",
+                        lambda n, arcs: checked.append(n) or sweep(n, arcs))
+    with pytest.raises(GuaranteeViolated, match=r"uncrossing \(5,7\) and \(6,8\) raised a load"):
+        uncross_parallel(g)
+    assert len(checked) == 2
 
 
 @given(crossing_routings(min_m=2, max_m=6))
