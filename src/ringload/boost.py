@@ -102,7 +102,7 @@ class BoostedInstance:
     def canonical_scaled(self) -> tuple[tuple[int, tuple[int, ...], tuple[int, ...]], list[int]]:
         """``(scaled, loads)``: ``canonical_routing.scaled`` and the
         routing's integer edge loads in its units."""
-        return self.canonical_routing.scaled_loads()
+        return self.canonical_routing.scaled, self.canonical_routing.integer_loads()
 
     @cached_property
     def canonical_loads(self) -> LoadProfile:

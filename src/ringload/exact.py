@@ -96,14 +96,12 @@ class UnsplittableOptimum(NamedTuple):
     routing: GeneralSplitRouting
 
 
-def _enumerate_unsplittable(
-    base: GeneralSplitRouting, free: list[int], scaled: tuple[int, Sequence[int], Sequence[int]]
-) -> UnsplittableOptimum:
+def _enumerate_unsplittable(base: GeneralSplitRouting, free: list[int]) -> UnsplittableOptimum:
     """Minimize the maximum edge load over all one-sided routings of the
     ``free`` demands, keeping the rest as routed in ``base``.
 
-    Depth-first branch-and-bound on ``scaled``, the caller's copy of
-    ``base.scaled``.  The fixed demands load the ring first; then free
+    Depth-first branch-and-bound on ``base.scaled``; the witness is built
+    from the same integers.  The fixed demands load the ring first; then free
     position k-1 is placed first, counter-clockwise (bit clear) before
     clockwise, so leaves arrive in ascending mask order and the first
     optimum reached is the lowest mask.  Placing a demand only adds load,
@@ -114,7 +112,7 @@ def _enumerate_unsplittable(
         raise TooLarge(f"2^{k} routings exceeds the enumeration cap 2^{DEFAULT_CAP}")
     instance = base.instance
     demands = instance.demands
-    denom, values, parts = scaled
+    denom, values, parts = base.scaled
     free_set = set(free)
     loads = integer_arc_loads(instance.n, (
         (i, j, parts[t], values[t] - parts[t])
@@ -163,14 +161,16 @@ def _enumerate_unsplittable(
 
         best += sum(value for value, _, _ in placements) + 1  # above every bound
         descend(k, max(peaks), 0)
-    cw_out = list(base.clockwise)
+    cw_out = list(parts)
     for pos, t in enumerate(free):
-        cw_out[t] = demands[t][2] if best_mask >> pos & 1 else Fraction(0)
-    witness = GeneralSplitRouting(instance, tuple(cw_out))
+        cw_out[t] = values[t] if best_mask >> pos & 1 else 0
+    witness = GeneralSplitRouting.from_scaled(instance, denom, values, cw_out)
+    # the witness may hold coarser units than the base: cross-multiply
+    peak = max(witness.integer_loads())
     result = Fraction(best, denom)
-    if witness.loads().max_load != result:
+    if peak * denom != best * witness.scaled[0]:
         raise GuaranteeViolated(
-            f"witness routing loads {witness.loads().max_load}, not the optimum {result}"
+            f"witness routing loads {Fraction(peak, witness.scaled[0])}, not the optimum {result}"
         )
     return UnsplittableOptimum(result, witness)
 
@@ -181,7 +181,7 @@ def optimal_unsplittable(instance: RingInstance) -> UnsplittableOptimum:
     demands are reported counter-clockwise in the witness)."""
     free = [t for t, (_, _, d) in enumerate(instance.demands) if d > 0]
     base = GeneralSplitRouting(instance, (Fraction(0),) * len(instance.demands))
-    return _enumerate_unsplittable(base, free, base.scaled)
+    return _enumerate_unsplittable(base, free)
 
 
 def optimal_unsplittable_boosted(boosted) -> UnsplittableOptimum:
@@ -189,8 +189,7 @@ def optimal_unsplittable_boosted(boosted) -> UnsplittableOptimum:
     pinned to its home path; only the 2^m crossing reroutings are
     searched."""
     free = [t for t, component in enumerate(boosted.components) if component.kind == "crossing"]
-    scaled, _ = boosted.canonical_scaled
-    return _enumerate_unsplittable(boosted.canonical_routing, free, scaled)
+    return _enumerate_unsplittable(boosted.canonical_routing, free)
 
 
 def split_optimum_crossing(r: CrossingRouting) -> Fraction:

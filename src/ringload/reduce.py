@@ -16,7 +16,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from .core import CrossingRouting, LoadProfile, RingInstance, integer_arc_loads, to_rational
 from .errors import GuaranteeViolated, MalformedRouting
@@ -25,29 +25,58 @@ CW = "cw"
 CCW = "ccw"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class GeneralSplitRouting:
     """A split routing of a RingInstance: per demand, the part routed
     clockwise (from i towards j through edges i..j-1); the rest goes the
-    other way around."""
+    other way around.  The routing holds its integers: ``scaled`` is
+    ``(denom, values, cw)``, the least common denominator of all demand
+    values and clockwise parts, which is canonical, and their numerators.
+    So equality and hashing on ``(instance, scaled)`` hold exactly when
+    the rational parts are equal; ``clockwise`` is derived on access."""
 
     instance: RingInstance
-    clockwise: tuple[Fraction, ...]
+    scaled: tuple[int, tuple[int, ...], tuple[int, ...]]
 
-    def __post_init__(self):
-        cw = tuple(to_rational(x) for x in self.clockwise)
-        demands = self.instance.demands
+    def __init__(self, instance: RingInstance, clockwise):
+        values = [value.as_integer_ratio() for _, _, value in instance.demands]
+        parts = [to_rational(x).as_integer_ratio() for x in clockwise]
+        denom = lcm(*(d for _, d in values), *(d for _, d in parts))
+        self._store_checked(instance, denom, tuple(a * (denom // d) for a, d in values),
+                            tuple(a * (denom // d) for a, d in parts))
+
+    @classmethod
+    def from_scaled(cls, instance: RingInstance, denom: int, values, cw) -> "GeneralSplitRouting":
+        """The routing with clockwise parts ``cw[t] / denom``, where
+        ``values`` are the instance's demand values in the same units
+        (``denom > 0``); the units are reduced to the canonical ones."""
+        common = gcd(denom, *values, *cw)
+        if common > 1:
+            denom //= common
+            values = (x // common for x in values)
+            cw = (x // common for x in cw)
+        routing = object.__new__(cls)
+        routing._store_checked(instance, denom, tuple(values), tuple(cw))
+        return routing
+
+    def _store_checked(self, instance: RingInstance, denom: int, values: tuple, cw: tuple) -> None:
+        demands = instance.demands
         if len(cw) != len(demands):
-            raise MalformedRouting(
-                f"{len(demands)} demands but {len(cw)} clockwise parts"
-            )
-        for part, (i, j, value) in zip(cw, demands):
-            # part > value, cross-multiplied on the (positive) denominators
-            if part.numerator < 0 or part.numerator * value.denominator > value.numerator * part.denominator:
+            raise MalformedRouting(f"{len(demands)} demands but {len(cw)} clockwise parts")
+        for t, (part, value) in enumerate(zip(cw, values)):
+            if part < 0 or part > value:
+                i, j, _ = demands[t]
                 raise MalformedRouting(
-                    f"clockwise part {part} outside [0, {value}] for demand ({i},{j})"
+                    f"clockwise part {Fraction(part, denom)} outside [0, {Fraction(value, denom)}] "
+                    f"for demand ({i},{j})"
                 )
-        object.__setattr__(self, "clockwise", cw)
+        object.__setattr__(self, "instance", instance)
+        object.__setattr__(self, "scaled", (denom, values, cw))
+
+    @property
+    def clockwise(self) -> tuple[Fraction, ...]:
+        denom, _, cw = self.scaled
+        return tuple(Fraction(x, denom) for x in cw)
 
     @classmethod
     def from_crossing(cls, r: CrossingRouting) -> "GeneralSplitRouting":
@@ -55,39 +84,16 @@ class GeneralSplitRouting:
 
     def split_indices(self) -> tuple[int, ...]:
         """0-based indices of demands with positive flow both ways."""
-        return tuple(
-            t
-            for t, (part, (_, _, value)) in enumerate(
-                zip(self.clockwise, self.instance.demands)
-            )
-            if 0 < part < value
-        )
-
-    @property
-    def scaled(self) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
-        """``(denom, values, cw)``: the least common denominator of all
-        demand values and clockwise parts and their integer numerators,
-        ``values[t] = value_t * denom`` and ``cw[t] = clockwise[t] * denom``.
-        Recomputed on every access: unlike ``CrossingRouting.scaled`` it
-        is not cached, which measurably raised the reduction's peak memory."""
-        values = [value for _, _, value in self.instance.demands]
-        denom = lcm(*(x.denominator for x in values), *(x.denominator for x in self.clockwise))
-        return (
-            denom,
-            tuple(x.numerator * (denom // x.denominator) for x in values),
-            tuple(x.numerator * (denom // x.denominator) for x in self.clockwise),
-        )
+        _, values, cw = self.scaled
+        return tuple(t for t, (part, value) in enumerate(zip(cw, values)) if 0 < part < value)
 
     def loads(self) -> LoadProfile:
-        (denom, _, _), loads = self.scaled_loads()
-        return LoadProfile.from_scaled(denom, loads)
+        return LoadProfile.from_scaled(self.scaled[0], self.integer_loads())
 
-    def scaled_loads(self) -> tuple[tuple[int, tuple[int, ...], tuple[int, ...]], list[int]]:
-        """``(scaled, loads)``: one computation of ``scaled`` and the
-        integer edge loads in its units."""
-        scaled = self.scaled
-        _, values, cw = scaled
-        return scaled, integer_arc_loads(self.instance.n, (
+    def integer_loads(self) -> list[int]:
+        """Integer edge loads in units of ``1 / scaled[0]``."""
+        _, values, cw = self.scaled
+        return integer_arc_loads(self.instance.n, (
             (i, j, c, v - c) for (i, j, _), v, c in zip(self.instance.demands, values, cw)
         ))
 
@@ -120,8 +126,8 @@ def uncross_parallel(s: GeneralSplitRouting) -> tuple[GeneralSplitRouting, tuple
     rise: loads are linear in the parts, so each exchange is checked by
     sweeping the load change of its two demands alone, O(n), and
     raising if it is positive on any edge.  The loop runs on integers
-    over ``s.scaled``; an exchange amount is a difference of existing
-    parts."""
+    over ``s.scaled``, and the result is built from them; an exchange
+    amount is a difference of existing parts."""
     instance = s.instance
     n = instance.n
     demands = instance.demands
@@ -163,7 +169,7 @@ def uncross_parallel(s: GeneralSplitRouting) -> tuple[GeneralSplitRouting, tuple
             if max(integer_arc_loads(n, ((ia, ja, da, -da), (ib, jb, db, -db)))) > 0:
                 raise GuaranteeViolated(f"uncrossing ({ia},{ja}) and ({ib},{jb}) raised a load")
             steps.append(UncrossStep(sa, sb, pa, pb, Fraction(amount, denom)))
-    return GeneralSplitRouting(instance, tuple(Fraction(x, denom) for x in cw)), tuple(steps)
+    return GeneralSplitRouting.from_scaled(instance, denom, value, cw), tuple(steps)
 
 
 @dataclass(frozen=True)
@@ -192,12 +198,11 @@ class ReductionTrace:
         m = len(self.demand_keys)
         if not isinstance(choices, int) or isinstance(choices, bool) or not 0 <= choices < (1 << m):
             raise MalformedRouting(f"choices {choices!r} out of range for m={m}")
-        cw = list(self.base.clockwise)
-        for p in range(1, m + 1):
-            t = self.demand_keys[p - 1]
-            value = self.base.instance.demands[t][2]
-            cw[t] = value if choices >> (p - 1) & 1 else Fraction(0)
-        return GeneralSplitRouting(self.base.instance, tuple(cw))
+        denom, values, cw = self.base.scaled
+        cw = list(cw)
+        for p, t in enumerate(self.demand_keys):
+            cw[t] = values[t] if choices >> p & 1 else 0
+        return GeneralSplitRouting.from_scaled(self.base.instance, denom, values, cw)
 
 
 @dataclass(frozen=True)
@@ -221,7 +226,7 @@ def to_crossing_form(s: GeneralSplitRouting) -> ReductionResult:
     n = instance.n
     demands = instance.demands
     denom, values, scaled_cw = base.scaled
-    split_idx = tuple(t for t, (c, v) in enumerate(zip(scaled_cw, values)) if 0 < c < v)
+    split_idx = base.split_indices()
     fixed = tuple(None if 0 < c < v else CW if 0 < v == c else CCW
                   for c, v in zip(scaled_cw, values))
 
@@ -283,7 +288,7 @@ def to_crossing_form(s: GeneralSplitRouting) -> ReductionResult:
     if len(keys) != m:
         raise GuaranteeViolated(f"{len(keys)} relabelled demands, not {m}")
 
-    cw = base.clockwise
-    routing = CrossingRouting(tuple(cw[t] for t in keys), tuple(demands[t][2] - cw[t] for t in keys))
+    routing = CrossingRouting(tuple(Fraction(scaled_cw[t], denom) for t in keys),
+                              tuple(Fraction(values[t] - scaled_cw[t], denom) for t in keys))
     trace = ReductionTrace(base, steps, keys, fixed, tuple(images), tuple(kept))
     return ReductionResult(routing, trace)

@@ -106,11 +106,15 @@ def test_oracle_witnesses_are_rechecked(monkeypatch):
     monkeypatch.setattr(exact, "Pattern", lambda r, mask, start: pattern(r, mask ^ 1, start))
     with pytest.raises(GuaranteeViolated):
         min_additive_performance(skutella8(0))
-    monkeypatch.setattr(
-        exact, "GeneralSplitRouting",
-        lambda inst, cw: routing(inst, tuple(value for _, _, value in inst.demands)),
-    )
-    with pytest.raises(GuaranteeViolated):
+
+    class AllClockwise(routing):
+        # witnesses are built on integers; this one routes every demand clockwise
+        @classmethod
+        def from_scaled(cls, instance, denom, values, cw):
+            return routing.from_scaled(instance, denom, values, values)
+
+    monkeypatch.setattr(exact, "GeneralSplitRouting", AllClockwise)
+    with pytest.raises(GuaranteeViolated, match="witness routing loads"):
         optimal_unsplittable(RingInstance(4, ((1, 2, Fraction(1)), (1, 3, Fraction(2)))))
     # the boosted oracle re-checks its witness too, although its integers
     # come from the instance's cached view (`boost` builds its canonical
@@ -149,7 +153,7 @@ def test_unsplittable_optimum_matches_gray_code(g):
     # every other demand free and the rest kept at their given split, so
     # loaded edges can lie before the first free endpoint (the wrapping run)
     free = positive[1::2]
-    value, witness = exact._enumerate_unsplittable(g, free, g.scaled)
+    value, witness = exact._enumerate_unsplittable(g, free)
     expected = gray_code_unsplittable(instance, list(g.clockwise), free)
     assert (value, witness.clockwise) == expected
 

@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 from itertools import combinations, permutations
+from math import lcm
 from random import Random
 
 import pytest
@@ -48,6 +49,10 @@ def test_general_routing_validation():
     for parts in ((Fraction(7, 3), Fraction(0)), (Fraction(-1, 5), Fraction(0))):
         with pytest.raises(MalformedRouting, match="outside"):
             GeneralSplitRouting(quarters, parts)
+    # inexact parts are refused, as every rational entry point does
+    for bad in (0.5, 2.0, "1", True):
+        with pytest.raises(MalformedRouting, match="exact rational"):
+            GeneralSplitRouting(inst, (bad,))
 
 
 @given(
@@ -55,14 +60,61 @@ def test_general_routing_validation():
     st.fractions(min_value=0, max_value=6, max_denominator=9),
 )
 def test_part_bound_across_denominators(part, value):
-    """The integer part check accepts exactly the parts in [0, value]."""
+    """The integer part check accepts exactly the parts in [0, value],
+    from rationals and from integers over a common denominator."""
     assume(part.denominator != value.denominator)
     inst = RingInstance(4, ((1, 3, value),))
+    denom = part.denominator * value.denominator
+    scaled = ((value * denom).numerator,), ((part * denom).numerator,)
     if 0 <= part <= value:
         assert GeneralSplitRouting(inst, (part,)).clockwise == (part,)
+        assert GeneralSplitRouting.from_scaled(inst, denom, *scaled).clockwise == (part,)
     else:
         with pytest.raises(MalformedRouting, match="outside"):
             GeneralSplitRouting(inst, (part,))
+        with pytest.raises(MalformedRouting, match="outside"):
+            GeneralSplitRouting.from_scaled(inst, denom, *scaled)
+
+
+@given(
+    st.lists(
+        st.tuples(
+            st.fractions(min_value=0, max_value=6, max_denominator=9),
+            st.fractions(min_value=0, max_value=1, max_denominator=9),
+        ),
+        min_size=1, max_size=6,
+    ),
+    st.integers(1, 12),
+)
+def test_from_scaled_is_canonical(demands, spare):
+    """Integers over any common denominator, reduced or not, give the
+    routing the rational parts give: equal, equally hashed, with the same
+    integers, and ``clockwise`` derives the parts as Fractions."""
+    inst = RingInstance(len(demands) + 2, tuple((1, t + 2, value) for t, (value, _) in enumerate(demands)))
+    parts = tuple(value * share for value, share in demands)
+    reference = GeneralSplitRouting(inst, parts)
+    denom = reference.scaled[0] * spare
+    routing = GeneralSplitRouting.from_scaled(
+        inst, denom,
+        tuple((value * denom).numerator for value, _ in demands),
+        tuple((part * denom).numerator for part in parts),
+    )
+    assert routing == reference and hash(routing) == hash(reference)
+    assert routing.scaled == reference.scaled
+    assert reference.scaled[0] == lcm(*(x.denominator for x in parts + tuple(v for v, _ in demands)))
+    assert routing.clockwise == parts
+    assert all(type(x) is Fraction for x in routing.clockwise)
+
+
+def test_from_scaled_reduces_its_units():
+    # parts 2/4 over an unreduced denominator are the rational part 1/2
+    inst = RingInstance(4, ((1, 3, Fraction(1)), (2, 4, Fraction(3, 2))))
+    halves = GeneralSplitRouting(inst, (Fraction(1, 2), Fraction(3, 2)))
+    quarters = GeneralSplitRouting.from_scaled(inst, 4, (4, 6), (2, 6))
+    assert quarters == halves and hash(quarters) == hash(halves)
+    assert quarters.scaled == (2, (2, 3), (1, 3))
+    with pytest.raises(MalformedRouting, match="2 demands but 1 clockwise parts"):
+        GeneralSplitRouting.from_scaled(inst, 4, (4, 6), (2,))
 
 
 @given(general_routings())
