@@ -25,11 +25,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from typing import ClassVar, Union
 
-from .core import CrossingRouting, LoadProfile, RingInstance, ccw_edges, cw_edges
-from .core import integer_arc_loads
+from .core import CrossingRouting, RingInstance, integer_arc_loads
 from .errors import GuaranteeViolated
 from .exact import min_additive_performance, optimal_unsplittable_boosted
 from .exact import split_optimum_boosted
@@ -38,11 +36,11 @@ from .reduce import GeneralSplitRouting
 
 @dataclass(frozen=True)
 class CrossingComponent:
-    """A demand inherited from the source routing, with its split."""
+    """A demand inherited from the source routing; its split is the
+    source's ``(u, v)`` at ``source_index``."""
 
     kind: ClassVar[str] = "crossing"
     source_index: int  # 1-based demand index in the source routing
-    split: tuple[Fraction, Fraction]  # (clockwise, counter-clockwise)
 
 
 @dataclass(frozen=True)
@@ -61,54 +59,23 @@ Component = Union[CrossingComponent, ShortComponent]
 class BoostedInstance:
     """Result of the boost transform.
 
-    ``components[t]`` explains demand t of ``instance``; routing every
-    short on its home path while splitting each crossing demand as in
-    ``source`` loads every edge to exactly ``equalized_load``.  That
-    canonical routing, its integers and its integer loads are built once,
-    on first use, and cached outside the dataclass fields; the
-    equalization check, the split optimum and the unsplittable oracle
-    all read the one integer view, and rationals appear only in
-    ``canonical_loads``.
+    ``canonical_routing`` is the boosted instance with every crossing
+    demand split as in ``source`` and every short routed on its home
+    path; it loads every edge to exactly ``equalized_load``.
+    ``components[t]`` explains demand t.  ``boost`` builds the routing
+    once from its integers, and the equalization check, the split
+    optimum and the unsplittable oracle all read it.
     """
 
-    instance: RingInstance
+    canonical_routing: GeneralSplitRouting
     source: CrossingRouting
     components: tuple[Component, ...]
     equalized_load: Fraction
     dropped_zero_shorts: int
 
-    @cached_property
-    def canonical_routing(self) -> GeneralSplitRouting:
-        """Split routing of the instance: source splits on the crossing
-        demands, home paths for the shorts."""
-        n = self.instance.n
-        cw = []
-        for (i, j, value), component in zip(self.instance.demands, self.components):
-            if component.kind == "crossing":
-                cw.append(component.split[0])
-                continue
-            home = frozenset(component.home_edges)
-            if home == cw_edges(i, j):
-                cw.append(value)
-            elif home == ccw_edges(n, i, j):
-                cw.append(Fraction(0))
-            else:
-                raise GuaranteeViolated(
-                    f"home edges {component.home_edges} are neither arc of demand ({i},{j})"
-                )
-        return GeneralSplitRouting(self.instance, tuple(cw))
-
-    @cached_property
-    def canonical_scaled(self) -> tuple[tuple[int, tuple[int, ...], tuple[int, ...]], list[int]]:
-        """``(scaled, loads)``: ``canonical_routing.scaled`` and the
-        routing's integer edge loads in its units."""
-        return self.canonical_routing.scaled, self.canonical_routing.integer_loads()
-
-    @cached_property
-    def canonical_loads(self) -> LoadProfile:
-        """Edge loads of ``canonical_routing``."""
-        (denom, _, _), loads = self.canonical_scaled
-        return LoadProfile.from_scaled(denom, loads)
+    @property
+    def instance(self) -> RingInstance:
+        return self.canonical_routing.instance
 
 
 def boost(r: CrossingRouting) -> BoostedInstance:
@@ -171,44 +138,48 @@ def boost(r: CrossingRouting) -> BoostedInstance:
     n = len(ring)
     position = {tok: idx + 1 for idx, tok in enumerate(ring)}  # 1-based
 
-    def arc_edges(a, b):
-        pa, pb = position[a], position[b]
-        return tuple(range(pa, pb)) if pb > pa else tuple(range(pa, n + 1))
-
+    # the canonical routing in units of 1 / denom: a crossing demand sends
+    # u clockwise, a short runs clockwise from its from-token, so all of
+    # it goes clockwise unless its arc wraps past node n
     demands: list[tuple[int, int, Fraction]] = []
+    values: list[int] = []
+    cw: list[int] = []
     components: list[Component] = []
     for i in range(1, m + 1):
         pa, pb = position[("o", i)], position[("o", i + m)]
         if pa >= pb:
             raise GuaranteeViolated(f"crossing demand {i} runs from node {pa} back to {pb}")
-        demands.append((pa, pb, r.u[i - 1] + r.v[i - 1]))
-        components.append(CrossingComponent(i, (r.u[i - 1], r.v[i - 1])))
+        value = us[i - 1] + vs[i - 1]
+        demands.append((pa, pb, Fraction(value, denom)))
+        values.append(value)
+        cw.append(us[i - 1])
+        components.append(CrossingComponent(i))
     for a, b, value, capped in shorts:
         if not 0 < value <= big:
             raise GuaranteeViolated(
                 f"short value {Fraction(value, denom)} outside (0, {r.max_demand}]"
             )
-        home = arc_edges(a, b)
+        pa, pb = position[a], position[b]
+        home = tuple(range(pa, pb)) if pb > pa else tuple(range(pa, n + 1))
         # only capping ever widens an arc: everything else stays on the
         # single edge it was created on
         fits = len(home) >= 2 if capped else len(home) == 1
         if not fits:
             raise GuaranteeViolated(f"short (capped={capped}) has home edges {home}")
-        i, j = sorted((position[a], position[b]))
-        demands.append((i, j, Fraction(value, denom)))
+        demands.append((min(pa, pb), max(pa, pb), Fraction(value, denom)))
+        values.append(value)
+        cw.append(value if pa < pb else 0)
         components.append(ShortComponent(home, capped))
 
-    instance = RingInstance(n, tuple(demands))
+    canonical = GeneralSplitRouting.from_scaled(RingInstance(n, tuple(demands)), denom, values, cw)
     equalized = Fraction(top, denom)
-    boosted = BoostedInstance(instance, r, tuple(components), equalized, dropped)
-
     # routing everything canonically must load every edge to exactly the
-    # source's maximum split load; the canonical routing's denominator
-    # need not be ``denom``, so compare cross-multiplied
-    (canonical_denom, _, _), canonical = boosted.canonical_scaled
-    if any(x * denom != top * canonical_denom for x in canonical):
+    # source's maximum split load; ``from_scaled`` may reduce the units,
+    # so compare cross-multiplied
+    canonical_denom = canonical.scaled[0]
+    if any(x * denom != top * canonical_denom for x in canonical.integer_loads()):
         raise GuaranteeViolated(f"boost failed to equalize at {equalized}")
-    return boosted
+    return BoostedInstance(canonical, r, tuple(components), equalized, dropped)
 
 
 @dataclass(frozen=True)

@@ -299,17 +299,6 @@ class LoadProfile:
         return iter(self.loads)
 
 
-def cw_edges(i: int, j: int) -> frozenset[int]:
-    """Edges of the clockwise arc i -> j (i < j): edges i..j-1."""
-    return frozenset(range(i, j))
-
-
-def ccw_edges(n: int, i: int, j: int) -> frozenset[int]:
-    """Edges of the counter-clockwise arc i -> j on an n-ring: the
-    edges j..n and 1..i-1."""
-    return frozenset(range(j, n + 1)) | frozenset(range(1, i))
-
-
 def integer_arc_loads(n: int, arcs) -> list[int]:
     """Integer edge loads of an n-ring carrying ``(i, j, cw_part,
     ccw_part)`` arcs with integer parts, edge k at ``loads[k - 1]``.

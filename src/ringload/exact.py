@@ -209,10 +209,11 @@ def split_optimum_boosted(boosted) -> Fraction:
     configuration: source splits on the crossing demands, home paths for
     the shorts.  All edge loads must agree, otherwise the instance is not
     properly equalized; they are compared on the integers."""
-    (denom, _, _), loads = boosted.canonical_scaled
+    canonical = boosted.canonical_routing
+    loads = canonical.integer_loads()
     first = loads[0]
     if any(x != first for x in loads):
         raise GuaranteeViolated(
-            f"canonical configuration loads {tuple(boosted.canonical_loads)} are not all equal"
+            f"canonical configuration loads {tuple(canonical.loads())} are not all equal"
         )
-    return Fraction(first, denom)
+    return Fraction(first, canonical.scaled[0])

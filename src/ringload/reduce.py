@@ -240,7 +240,7 @@ def to_crossing_form(s: GeneralSplitRouting) -> ReductionResult:
     for t in split_idx:
         for node in demands[t][:2]:
             if node in endpoint_owners:
-                raise MalformedRouting(
+                raise GuaranteeViolated(
                     f"node {node} touches two split demands after uncrossing"
                 )
             endpoint_owners[node] = t
@@ -266,7 +266,7 @@ def to_crossing_form(s: GeneralSplitRouting) -> ReductionResult:
     for image, load in zip(images, split_profile):
         if image in merged:
             if merged[image] != load:
-                raise MalformedRouting(
+                raise GuaranteeViolated(
                     f"unequal split loads {Fraction(merged[image], denom)} vs "
                     f"{Fraction(load, denom)} on edges merging into reduced edge {image}"
                 )

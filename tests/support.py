@@ -30,7 +30,6 @@ from ringload import (
     min_additive_performance,
     split_loads,
 )
-from ringload.core import ccw_edges, cw_edges
 
 positive_rationals = st.fractions(
     min_value=Fraction(1, 12), max_value=Fraction(24), max_denominator=12
@@ -71,6 +70,17 @@ def general_routings(draw, max_demands: int = 8) -> GeneralSplitRouting:
             num = draw(st.integers(0, 16))
             parts.append(value * Fraction(num, 16))
     return GeneralSplitRouting(RingInstance(n, tuple(demands)), tuple(parts))
+
+
+def cw_edges(i: int, j: int) -> frozenset[int]:
+    """Edges of the clockwise arc i -> j (i < j): edges i..j-1."""
+    return frozenset(range(i, j))
+
+
+def ccw_edges(n: int, i: int, j: int) -> frozenset[int]:
+    """Edges of the counter-clockwise arc i -> j on an n-ring: the
+    edges j..n and 1..i-1."""
+    return frozenset(range(j, n + 1)) | frozenset(range(1, i))
 
 
 def scaled_ring_loads(n: int, arcs) -> tuple[int, list[int]]:
@@ -271,7 +281,9 @@ def rescanning_boost(r: CrossingRouting) -> BoostedInstance:
     """Reference for ``boost``: the same construction, capping the
     oversized single-edge filler with the lowest ring position after
     rebuilding the position map and rescanning every filler on each
-    cap."""
+    cap.  Each short's direction in the canonical routing is read off
+    its home edges, so a match also checks that the library routes
+    every short on its home path."""
     m = r.m
     big = r.max_demand
     profile = split_loads(r)
@@ -313,20 +325,30 @@ def rescanning_boost(r: CrossingRouting) -> BoostedInstance:
     n = len(ring)
     position = {tok: idx + 1 for idx, tok in enumerate(ring)}
     demands = []
+    cw = []
     components = []
     for i in range(1, m + 1):
         pa, pb = position[("o", i)], position[("o", i + m)]
         assert pa < pb
         demands.append((pa, pb, r.u[i - 1] + r.v[i - 1]))
-        components.append(CrossingComponent(i, (r.u[i - 1], r.v[i - 1])))
+        cw.append(r.u[i - 1])
+        components.append(CrossingComponent(i))
     for a, b, value, capped in shorts:
         assert 0 < value <= big
         pa, pb = position[a], position[b]
         home = tuple(range(pa, pb)) if pb > pa else tuple(range(pa, n + 1))
         assert len(home) >= 2 if capped else len(home) == 1
-        demands.append((min(pa, pb), max(pa, pb), value))
+        i, j = min(pa, pb), max(pa, pb)
+        demands.append((i, j, value))
+        if frozenset(home) == cw_edges(i, j):
+            cw.append(value)
+        elif frozenset(home) == ccw_edges(n, i, j):
+            cw.append(Fraction(0))
+        else:
+            raise AssertionError(f"home edges {home} are neither arc of demand ({i},{j})")
         components.append(ShortComponent(home, capped))
-    return BoostedInstance(RingInstance(n, tuple(demands)), r, tuple(components), top, dropped)
+    canonical = GeneralSplitRouting(RingInstance(n, tuple(demands)), tuple(cw))
+    return BoostedInstance(canonical, r, tuple(components), top, dropped)
 
 
 def general_edge_load(g: GeneralSplitRouting, k: int) -> Fraction:

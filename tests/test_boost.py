@@ -10,7 +10,6 @@ from ringload import (
     BoostedInstance,
     CrossingRouting,
     GuaranteeViolated,
-    ShortComponent,
     TooLarge,
     boost,
     min_additive_performance,
@@ -26,7 +25,7 @@ from ringload import (
     verify_boost,
 )
 from ringload import exact
-from support import crossing_routings, lopsided, rescanning_boost, tie_heavy
+from support import crossing_routings, lopsided, naive_general_loads, rescanning_boost, tie_heavy
 
 
 def test_boost_golden_eight_demand_probe():
@@ -111,11 +110,12 @@ def test_boost_structure(r):
     n = b.instance.n
     crossing = [t for t, c in enumerate(b.components) if c.kind == "crossing"]
     assert [b.components[t].source_index for t in crossing] == list(range(1, r.m + 1))
+    canonical = b.canonical_routing.clockwise
     for t, c in enumerate(b.components):
         i, j, value = b.instance.demands[t]
         if c.kind == "crossing":
             idx = c.source_index - 1
-            assert c.split == (r.u[idx], r.v[idx])
+            assert canonical[t] == r.u[idx]
             assert value == r.u[idx] + r.v[idx]
         else:
             assert 0 < value <= big
@@ -131,9 +131,10 @@ def test_boost_structure(r):
 @settings(max_examples=40)
 @given(crossing_routings(max_m=5))
 def test_canonical_integer_view_matches_rational_loads(r):
-    # the cached integer view reproduces the routing's own rational loads
+    # the routing built on integers loads every edge to the equalized
+    # level, by explicit path walks over its rational parts
     b = boost(r)
-    assert b.canonical_loads == b.canonical_routing.loads()
+    assert set(naive_general_loads(b.canonical_routing)) == {b.equalized_load}
     assert split_optimum_boosted(b) == b.equalized_load
 
 
@@ -142,7 +143,7 @@ def test_verify_boost_failure_path():
     # the bound check: the gap stays 11 but the claimed source needs 19
     b = boost(skutella8(0))
     broken = BoostedInstance(
-        b.instance, seven18(), b.components, b.equalized_load, b.dropped_zero_shorts
+        b.canonical_routing, seven18(), b.components, b.equalized_load, b.dropped_zero_shorts
     )
     with pytest.raises(GuaranteeViolated, match="falls below the source performance"):
         verify_boost(broken)
@@ -183,23 +184,15 @@ def test_verify_boost_beyond_m7(r):
 
 def test_boost_guarantees_are_checked_not_asserted(monkeypatch):
     # broken guarantees raise explicitly, so they also hold under `python -O`
-    b = boost(tight3())
-    t, short = next((t, c) for t, c in enumerate(b.components) if c.kind == "short")
-    i, j, _ = b.instance.demands[t]
-    # one edge past the demand's own arc: neither of its two arcs
-    components = list(b.components)
-    components[t] = ShortComponent(tuple(range(i, j + 1)), short.capped)
-    broken = BoostedInstance(
-        b.instance, b.source, tuple(components), b.equalized_load, b.dropped_zero_shorts
-    )
-    with pytest.raises(GuaranteeViolated):
-        split_optimum_boosted(broken)
-    # every demand counter-clockwise cannot equalize the loads
     module = importlib.import_module("ringload.boost")
     routing = module.GeneralSplitRouting
-    monkeypatch.setattr(
-        module, "GeneralSplitRouting",
-        lambda inst, cw: routing(inst, (Fraction(0),) * len(cw)),
-    )
-    with pytest.raises(GuaranteeViolated):
+
+    class AllCounterClockwise(routing):
+        @classmethod
+        def from_scaled(cls, instance, denom, values, cw):
+            return routing.from_scaled(instance, denom, values, [0] * len(cw))
+
+    # every demand counter-clockwise cannot equalize the loads
+    monkeypatch.setattr(module, "GeneralSplitRouting", AllCounterClockwise)
+    with pytest.raises(GuaranteeViolated, match="failed to equalize"):
         boost(tight3())

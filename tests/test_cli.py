@@ -1,5 +1,6 @@
 """Command-line driver: formats, workflows, exit codes."""
 
+import hashlib
 import os
 import subprocess
 import sys
@@ -136,6 +137,27 @@ def test_boost_output_equalizes(tmp_path, capsys):
     assert boosted.kind == "ring"
     loads = boosted.general.loads()
     assert set(loads) == {Fraction(8)}
+
+
+@pytest.mark.parametrize(
+    "text, digest",
+    [
+        # capped fillers wrap past the last node with clockwise part 0
+        ("split 3\npair 10 1\npair 10 1\npair 10 1\n",
+         "7a53b7b842b382cd330ddfaefd9dcaeef56dbed9971bc37257acdb85ff795966"),
+        # fractional parts, equalized at 43/12
+        ("split 4\npair 1/2 3/2\npair 5/6 1/3\npair 1 1\npair 1/4 3/4\n",
+         "3a145035c90554362214c10314699028f33ac8c9f58e23251a4ed98880993214"),
+    ],
+    ids=["capping", "fractional"],
+)
+def test_boost_text_is_pinned(tmp_path, capsys, text, digest):
+    src = tmp_path / "src.txt"
+    src.write_text(text)
+    out_path = tmp_path / "boosted.txt"
+    code, _, _ = run(capsys, "boost", str(src), "--check", "--out", str(out_path))
+    assert code == 0
+    assert hashlib.sha256(out_path.read_bytes()).hexdigest() == digest
 
 
 def test_export_milp(tmp_path, capsys):
@@ -276,6 +298,19 @@ def test_failed_assert_exits_3(tmp_path, capsys, monkeypatch):
     assert code == 3
     assert "guarantee violated: forced internal check" in err
     assert "broken certified invariant" in err
+
+
+def test_uncrossing_bug_exits_3(tmp_path, capsys, monkeypatch):
+    # two parallel split demands sharing node 1 that skip uncrossing: the
+    # reduction meets a state no input can cause, a broken guarantee
+    path = tmp_path / "r.txt"
+    path.write_text("ring 6\ndemand 1 3 2 1\ndemand 1 5 2 1\n")
+    monkeypatch.setattr("ringload.reduce.uncross_parallel", lambda s: (s, ()))
+    with pytest.raises(GuaranteeViolated, match="touches two split demands after uncrossing"):
+        ringload.to_crossing_form(load_input(str(path)).general)
+    code, _, err = run(capsys, "round", str(path))
+    assert code == 3
+    assert "guarantee violated: node 1 touches two split demands" in err
 
 
 def test_usage_errors_exit_2(capsys):

@@ -14,7 +14,6 @@ from ringload import (
     GuaranteeViolated,
     LoadProfile,
     RingInstance,
-    ShortComponent,
     TooLarge,
     additive_performance,
     boost,
@@ -117,8 +116,8 @@ def test_oracle_witnesses_are_rechecked(monkeypatch):
     with pytest.raises(GuaranteeViolated, match="witness routing loads"):
         optimal_unsplittable(RingInstance(4, ((1, 2, Fraction(1)), (1, 3, Fraction(2)))))
     # the boosted oracle re-checks its witness too, although its integers
-    # come from the instance's cached view (`boost` builds its canonical
-    # routing through its own import, which the patch leaves alone)
+    # come from the instance's canonical routing (`boost` builds it
+    # through its own import, which the patch leaves alone)
     with pytest.raises(GuaranteeViolated, match="witness routing loads"):
         optimal_unsplittable_boosted(boost(skutella8(0)))
 
@@ -224,17 +223,13 @@ def test_split_optimum_boosted():
 
 def test_split_optimum_boosted_rejects_wrong_homes():
     b = boost(tight3())
-    components = list(b.components)
-    for t, component in enumerate(components):
-        if component.kind == "short":
-            i, j, _ = b.instance.demands[t]
-            n = b.instance.n
-            # swap the home path for the complementary arc
-            other = tuple(range(j, n + 1)) + tuple(range(1, i))
-            components[t] = ShortComponent(other, component.capped)
-            break
+    t = next(t for t, c in enumerate(b.components) if c.kind == "short")
+    # route one short on the complementary arc of its home path
+    cw = list(b.canonical_routing.clockwise)
+    cw[t] = b.instance.demands[t][2] - cw[t]
     broken = BoostedInstance(
-        b.instance, b.source, tuple(components), b.equalized_load, b.dropped_zero_shorts
+        GeneralSplitRouting(b.instance, tuple(cw)), b.source, b.components,
+        b.equalized_load, b.dropped_zero_shorts,
     )
     with pytest.raises(GuaranteeViolated, match="are not all equal"):
         split_optimum_boosted(broken)
