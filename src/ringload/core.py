@@ -231,6 +231,13 @@ class Pattern:
         _, us, vs = self.routing.scaled
         return mask_walk(us, vs, self.choices)
 
+    def _adopt_walk(self, walk: tuple[int, ...]) -> Pattern:
+        """Set ``walk`` without recomputing it, for a pattern whose caller
+        already walked its choices on ``routing.scaled``.  Returns the
+        pattern."""
+        self.__dict__["walk"] = walk
+        return self
+
     def _value(self, w: int) -> Fraction:
         return self.start + Fraction(w, self.routing.scaled[0])
 

@@ -9,7 +9,9 @@ reproducibility.
 The walk is steered on integers: each call scales the routing's parts
 and its anchor to one common denominator ``s``, so the trajectory and D
 become integers and "closer to D/2" compares ``|D*s - 2*t|``.  Only the
-anchor of the returned pattern is rational.
+anchor of the returned pattern is rational.  The loops themselves are the
+integer kernels ``steer_forward``/``steer_backward``, which ``rounding``
+also runs directly on its own grid.
 """
 
 from __future__ import annotations
@@ -40,14 +42,11 @@ def _scale(r: CrossingRouting, anchor: Fraction) -> tuple[int, int, int, int]:
     )
 
 
-def forward_greedy(r: CrossingRouting, x) -> Pattern:
-    """Build a pattern left to right from anchor ``x`` in [0, D]."""
-    big = r.max_demand
-    x = to_rational(x)
-    if not 0 <= x <= big:
-        raise ParameterOutOfRange(f"start {x} outside [0, {big}]")
-    _, us, vs = r.scaled
-    _, k, top, cur = _scale(r, x)
+def steer_forward(us, vs, k: int, top: int, start: int) -> tuple[int, int]:
+    """``(choices, end)`` of the forward pass from integer anchor
+    ``start``, with the steps ``k * us[i]``, ``k * vs[i]`` and the strip
+    ``[0, top]`` all in one unit."""
+    cur = start
     choices = 0
     for i, (u, v) in enumerate(zip(us, vs)):
         up = cur + k * v
@@ -58,6 +57,36 @@ def forward_greedy(r: CrossingRouting, x) -> Pattern:
             cur = up
         else:
             cur = down
+    return choices, cur
+
+
+def steer_backward(us, vs, k: int, top: int, end: int) -> tuple[int, int]:
+    """``(choices, start)`` of the backward pass to integer anchor
+    ``end``, in the units of ``steer_forward``."""
+    cur = end
+    choices = 0
+    for i in reversed(range(len(us))):
+        # undo step i: predecessor is cur - v[i] if the step was +v,
+        # cur + u[i] if it was -u
+        was_up = cur - k * vs[i]
+        was_down = cur + k * us[i]
+        if was_up >= 0 and (was_down > top or abs(top - 2 * was_up) <= abs(top - 2 * was_down)):
+            choices |= 1 << i
+            cur = was_up
+        else:
+            cur = was_down
+    return choices, cur
+
+
+def forward_greedy(r: CrossingRouting, x) -> Pattern:
+    """Build a pattern left to right from anchor ``x`` in [0, D]."""
+    big = r.max_demand
+    x = to_rational(x)
+    if not 0 <= x <= big:
+        raise ParameterOutOfRange(f"start {x} outside [0, {big}]")
+    _, us, vs = r.scaled
+    _, k, top, start = _scale(r, x)
+    choices, cur = steer_forward(us, vs, k, top, start)
     if not 0 <= cur <= top:
         raise GuaranteeViolated(f"forward greedy from {x} left [0, {big}]")
     return Pattern(r, choices, x)
@@ -70,19 +99,8 @@ def backward_greedy(r: CrossingRouting, y) -> Pattern:
     if not 0 <= y <= big:
         raise ParameterOutOfRange(f"end {y} outside [0, {big}]")
     _, us, vs = r.scaled
-    s, k, top, cur = _scale(r, y)
-    end = cur
-    choices = 0
-    for i in reversed(range(r.m)):
-        # undo step i: predecessor is cur - v[i] if the step was +v,
-        # cur + u[i] if it was -u
-        was_up = cur - k * vs[i]
-        was_down = cur + k * us[i]
-        if was_up >= 0 and (was_down > top or abs(top - 2 * was_up) <= abs(top - 2 * was_down)):
-            choices |= 1 << i
-            cur = was_up
-        else:
-            cur = was_down
+    s, k, top, end = _scale(r, y)
+    choices, cur = steer_backward(us, vs, k, top, end)
     if not 0 <= cur <= top:
         raise GuaranteeViolated(f"backward greedy to {y} left [0, {big}]")
     pattern = Pattern(r, choices, Fraction(cur, s))

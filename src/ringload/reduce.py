@@ -109,13 +109,20 @@ def demands_cross(a: tuple[int, int], b: tuple[int, int]) -> bool:
 @dataclass(frozen=True)
 class UncrossStep:
     """One flow exchange between two parallel split demands (0-based
-    indices).  ``amount`` moved onto the named edge-disjoint paths."""
+    indices).  ``units / denom`` moved onto the named edge-disjoint paths,
+    with ``denom`` the denominator of the input routing's ``scaled``;
+    ``amount`` is derived on access."""
 
     first: int
     second: int
     first_path: str
     second_path: str
-    amount: Fraction
+    units: int
+    denom: int
+
+    @property
+    def amount(self) -> Fraction:
+        return Fraction(self.units, self.denom)
 
 
 def uncross_parallel(s: GeneralSplitRouting) -> tuple[GeneralSplitRouting, tuple[UncrossStep, ...]]:
@@ -168,7 +175,7 @@ def uncross_parallel(s: GeneralSplitRouting) -> tuple[GeneralSplitRouting, tuple
                 raise GuaranteeViolated(f"neither ({ia},{ja}) nor ({ib},{jb}) came off the fence")
             if max(integer_arc_loads(n, ((ia, ja, da, -da), (ib, jb, db, -db)))) > 0:
                 raise GuaranteeViolated(f"uncrossing ({ia},{ja}) and ({ib},{jb}) raised a load")
-            steps.append(UncrossStep(sa, sb, pa, pb, Fraction(amount, denom)))
+            steps.append(UncrossStep(sa, sb, pa, pb, amount, denom))
     return GeneralSplitRouting.from_scaled(instance, denom, value, cw), tuple(steps)
 
 

@@ -32,9 +32,15 @@ from .core import (
     additive_performance,
     mask_walk,
     to_rational,
+    walk_performance,
 )
 from .errors import GuaranteeViolated, ParameterOutOfRange
-from .greedy import BACKWARD, FORWARD, backward_greedy, forward_greedy, is_proper
+from .greedy import BACKWARD, FORWARD, backward_greedy, forward_greedy, is_proper, steer_backward
+
+# the branches run on integers in units of 1 / (GRID * r.scaled[0]), where
+# every anchor they place lies: (D +- d_m)/2, D/2, the induced anchors,
+# the window D/6 + delta*D/3 and the crossover shift g/2
+GRID = 12
 
 
 class RoundingMethod(Enum):
@@ -186,76 +192,67 @@ def round_via_induced(
     return BoundedRounding(chosen, certified, method)
 
 
-def _rotate_routing(r: CrossingRouting, shift: int) -> CrossingRouting:
-    """Renumber demands so that old demand shift+1 becomes demand 1.
+def _rotated(r: CrossingRouting, shift: int) -> tuple[tuple[int, ...], tuple[int, ...], int]:
+    """``(us, vs, D)``: the routing's integer parts renumbered so that
+    demand shift+1 becomes demand 1, and D, in units of ``1 / denom``.
     Demands that wrap past m re-enter with their two directions swapped."""
     denom, us, vs = r.scaled
-    rotated = CrossingRouting(r.u[shift:] + r.v[:shift], r.v[shift:] + r.u[:shift])
-    return rotated._adopt_scaled((denom, us[shift:] + vs[:shift], vs[shift:] + us[:shift]))
+    big = r.max_demand
+    return us[shift:] + vs[:shift], vs[shift:] + us[:shift], big.numerator * (denom // big.denominator)
 
 
-def _unrotate_pattern(r: CrossingRouting, rotated: Pattern, shift: int) -> Pattern:
-    """Carry a pattern on the rotated routing back to the input indexing,
-    flipping the choice bits of wrapped demands and re-centering the start
-    so the anchor sum x + y is preserved (performance is unchanged either
-    way; checked)."""
-    kept = r.m - shift
-    # rotated bit j - 1 is input bit j + shift - 1; wrapped ones flip
-    choices = (rotated.choices & ((1 << kept) - 1)) << shift
-    choices |= ~rotated.choices >> kept & ((1 << shift) - 1)
-    denom, us, vs = r.scaled
-    step_sum = mask_walk(us, vs, choices)[-1]
-    # both walks share the denominator, so x + y = 2 * start + walk end
-    start = rotated.start + Fraction(rotated.walk[-1] - step_sum, 2 * denom)
-    pattern = Pattern(r, choices, start)
-    if additive_performance(pattern) != additive_performance(rotated):
-        raise GuaranteeViolated("un-rotating the pattern changed its performance")
-    return pattern
-
-
-def _swap_directions(r: CrossingRouting) -> CrossingRouting:
-    denom, us, vs = r.scaled
-    return CrossingRouting(r.v, r.u)._adopt_scaled((denom, vs, us))
-
-
-def _reflect_pattern(target: CrossingRouting, p: Pattern) -> Pattern:
-    """Mirror a pattern across D/2.  The mirrored walk takes the opposite
-    choice at every step, so it lives on the direction-swapped routing.
-    Applying the reflection twice gives back the original pattern."""
-    if target.u != p.routing.v or target.v != p.routing.u:
-        raise GuaranteeViolated("reflection target is not the direction-swapped routing")
-    full = (1 << p.routing.m) - 1
-    return Pattern(target, p.choices ^ full, p.routing.max_demand - p.start)
-
-
-def _last_demand(r: CrossingRouting) -> Fraction:
-    denom, us, vs = r.scaled
-    return Fraction(us[-1] + vs[-1], denom)
-
-
-def _extended_backward(rr: CrossingRouting) -> tuple[Pattern, bool]:
-    """Backward greedy through the extremal last demand.
+def _extended_backward(us, vs, big: int) -> tuple[int, int, tuple[int, ...], bool]:
+    """Backward greedy through the extremal last demand, on the parts
+    ``us``/``vs`` and D = ``big`` in units of ``1 / denom``.
 
     Ending at (D + d_m)/2 forces the last step up; ending at (D - d_m)/2
     forces it down; both walks then coincide, so they share their start.
-    Returns the high-anchored walk if it starts at or below D/2, else the
-    low-anchored one, plus which case applied."""
-    big = rr.max_demand
-    d_last = _last_demand(rr)
-    last = 1 << (rr.m - 1)
-    high = backward_greedy(rr, (big + d_last) / 2)
-    if not high.choices & last:
+    Returns ``(choices, start, walk, used_high)``: the high-anchored walk if
+    it starts at or below D/2, else the low-anchored one, with its start on
+    the ``1 / (GRID * denom)`` grid and its walk on ``us``/``vs``."""
+    top = GRID * big
+    half = GRID // 2
+    d_last = us[-1] + vs[-1]
+    last = 1 << (len(us) - 1)
+    end = half * (big + d_last)
+    choices, start = steer_backward(us, vs, GRID, top, end)
+    if not choices & last:
         raise GuaranteeViolated("high anchor must force the last step up")
-    if high.start <= big / 2:
-        return high, True
-    low = backward_greedy(rr, (big - d_last) / 2)
-    if low.choices & last:
-        raise GuaranteeViolated("low anchor must force the last step down")
-    if low.start != high.start:
-        raise GuaranteeViolated(f"extremal walks start apart: {low.start} and {high.start}")
-    if low.choices != high.choices ^ last:
-        raise GuaranteeViolated("extremal walks differ before the last step")
-    return low, False
+    used_high = start <= half * big
+    if not used_high:
+        end = half * (big - d_last)
+        low, low_start = steer_backward(us, vs, GRID, top, end)
+        if low & last:
+            raise GuaranteeViolated("low anchor must force the last step down")
+        if low_start != start:
+            raise GuaranteeViolated(f"extremal walks start apart: {Fraction(low_start - start, top)} * D")
+        if low != choices ^ last:
+            raise GuaranteeViolated("extremal walks differ before the last step")
+        choices = low
+    if not 0 <= start <= top:
+        raise GuaranteeViolated(f"extremal walk starts at {Fraction(start, top)} * D, outside [0, D]")
+    walk = mask_walk(us, vs, choices)
+    if start + GRID * walk[-1] != end:
+        raise GuaranteeViolated(f"extremal walk ends {Fraction(start + GRID * walk[-1] - end, top)} * D off its anchor")
+    return choices, start, walk, used_high
+
+
+def _carry_back(r: CrossingRouting, shift: int, choices: int, start: int, walk) -> Pattern:
+    """The pattern on ``r`` of a walk found on ``_rotated(r, shift)``: the
+    choice bits of wrapped demands flip, and the start (on the grid) is
+    re-centered so the anchor sum x + y is kept.  The performance must not
+    change (checked)."""
+    kept = r.m - shift
+    # rotated bit j - 1 is input bit j + shift - 1; wrapped ones flip
+    back = (choices & ((1 << kept) - 1)) << shift
+    back |= ~choices >> kept & ((1 << shift) - 1)
+    denom, us, vs = r.scaled
+    back_walk = mask_walk(us, vs, back)
+    if walk_performance(back_walk) != walk_performance(walk):
+        raise GuaranteeViolated("un-rotating the pattern changed its performance")
+    # x + y = 2 * start + GRID * (walk end) on both sides
+    start += GRID // 2 * (walk[-1] - back_walk[-1])
+    return Pattern(r, back, Fraction(start, GRID * denom))._adopt_walk(back_walk)
 
 
 def round_medium(r: CrossingRouting) -> BoundedRounding:
@@ -265,9 +262,8 @@ def round_medium(r: CrossingRouting) -> BoundedRounding:
     come from the routing (``r.classify_delta()``)."""
     cls = r.classify_delta()
     shift = cls.index % r.m
-    rr = _rotate_routing(r, shift)
-    chosen, _ = _extended_backward(rr)
-    pattern = _unrotate_pattern(r, chosen, shift)
+    choices, start, walk, _ = _extended_backward(*_rotated(r, shift))
+    pattern = _carry_back(r, shift, choices, start, walk)
     return BoundedRounding(pattern, Fraction(3, 2) - cls.value / 2, RoundingMethod.MEDIUM)
 
 
@@ -279,45 +275,49 @@ def round_upper(r: CrossingRouting) -> BoundedRounding:
     The extremal backward walk either starts inside an explicit window
     around the mirror of its end anchor and qualifies alone, or serves as
     the base pattern for the induced-pattern combination.  When the walk
-    starts above D/2 everything is mirrored first; the mirror swaps the
-    two ring directions and is undone on the way out.
+    starts above D/2 everything is mirrored across D/2 first: the opposite
+    choice at every step, on the direction-swapped parts, walks the negated
+    walk.  The mirror is undone on the way out.
     """
     cls = r.classify_delta()
     delta = cls.value
     if delta > Fraction(2, 5):
-        raise ParameterOutOfRange(
-            f"class {delta} > 2/5: use round_medium for well-spread instances"
-        )
+        raise ParameterOutOfRange(f"class {delta} > 2/5: use round_medium for well-spread instances")
     shift = cls.index % r.m
-    rr = _rotate_routing(r, shift)
-    chosen, used_high = _extended_backward(rr)
-    if used_high:
-        work, base, reflected = rr, chosen, False
-    else:
-        work = _swap_directions(rr)
-        base = _reflect_pattern(work, chosen)
-        reflected = True
-    big = work.max_demand
-    d_last = _last_demand(work)
-    if base.end != (big + d_last) / 2:
-        raise GuaranteeViolated(f"base pattern ends at {base.end}, not (D + d_m)/2")
-    if base.start > big / 2:
-        raise GuaranteeViolated(f"base pattern starts at {base.start}, above D/2")
+    us, vs, big = _rotated(r, shift)
+    choices, start, walk, used_high = _extended_backward(us, vs, big)
+    denom = r.scaled[0]
+    unit, top, full = GRID * denom, GRID * big, (1 << r.m) - 1
+    if not used_high:
+        us, vs = vs, us
+        choices, start, walk = choices ^ full, top - start, tuple(-w for w in walk)
+    d_last = us[-1] + vs[-1]
+    end = start + GRID * walk[-1]
+    if end != GRID // 2 * (big + d_last):
+        raise GuaranteeViolated(f"base pattern ends at {Fraction(end, unit)}, not (D + d_m)/2")
+    if 2 * start > top:
+        raise GuaranteeViolated(f"base pattern starts at {Fraction(start, unit)}, above D/2")
     certified = Fraction(7, 6) + delta / 3
-    window = big / 6 + delta * big / 3
-    mirrored_end = (big - d_last) / 2
-    if abs(base.start - mirrored_end) <= window:
-        pattern, method = base, RoundingMethod.UPPER
-    else:
-        inner = round_via_induced(work, base, delta)
+    method = RoundingMethod.UPPER
+    width = delta.numerator * (big // delta.denominator)
+    # window D/6 + delta*D/3 around the mirrored end anchor (D - d_m)/2
+    if abs(start - GRID // 2 * (big - d_last)) > 2 * big + 4 * width:
+        u, v = r.u[shift:] + r.v[:shift], r.v[shift:] + r.u[:shift]
+        work = CrossingRouting(u, v) if used_high else CrossingRouting(v, u)
+        base = Pattern(work._adopt_scaled((denom, us, vs)), choices, Fraction(start, unit))
+        inner = round_via_induced(work, base._adopt_walk(walk), delta)
         if inner.certified_bound > certified:
             raise GuaranteeViolated(
                 f"induced rounding certifies {inner.certified_bound}, above {certified}"
             )
-        pattern, method = inner.pattern, inner.method
-    if reflected:
-        pattern = _reflect_pattern(rr, pattern)
-    pattern = _unrotate_pattern(r, pattern, shift)
+        p = inner.pattern
+        start, off = divmod(p.start.numerator * unit, p.start.denominator)
+        if off:
+            raise GuaranteeViolated(f"induced pattern starts at {p.start}, off the 1/{unit} grid")
+        choices, walk, method = p.choices, p.walk, inner.method
+    if not used_high:
+        choices, start, walk = choices ^ full, top - start, tuple(-w for w in walk)
+    pattern = _carry_back(r, shift, choices, start, walk)
     return BoundedRounding(pattern, certified, method)
 
 

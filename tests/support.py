@@ -18,18 +18,24 @@ from ringload import (
     CCW,
     CW,
     BoostedInstance,
+    BoundedRounding,
     CrossingComponent,
     CrossingRouting,
     GeneralSplitRouting,
     MalformedRouting,
     Pattern,
     RingInstance,
+    RoundingMethod,
     ShortComponent,
     UncrossStep,
+    additive_performance,
+    backward_greedy,
     demands_cross,
     min_additive_performance,
+    round_via_induced,
     split_loads,
 )
+from ringload.core import mask_walk
 
 positive_rationals = st.fractions(
     min_value=Fraction(1, 12), max_value=Fraction(24), max_denominator=12
@@ -425,7 +431,9 @@ def naive_uncross(s: GeneralSplitRouting):
         assert amount > 0
         cw[sa] += amount if pa == CW else -amount
         cw[sb] += amount if pb == CW else -amount
-        steps.append(UncrossStep(sa, sb, pa, pb, amount))
+        units = amount * s.scaled[0]
+        assert units.denominator == 1
+        steps.append(UncrossStep(sa, sb, pa, pb, units.numerator, s.scaled[0]))
         # at least one demand came off the fence
         assert not (0 < cw[sa] < da) or not (0 < cw[sb] < db)
         new_denom, after = scaled_ring_loads(n, arcs())
@@ -435,6 +443,101 @@ def naive_uncross(s: GeneralSplitRouting):
         ), "uncrossing raised a load"
         denom, before = new_denom, after
     return GeneralSplitRouting(instance, tuple(cw)), tuple(steps)
+
+
+def _rotate_routing(r: CrossingRouting, shift: int) -> CrossingRouting:
+    """Renumber demands so that old demand shift+1 becomes demand 1.
+    Demands that wrap past m re-enter with their two directions swapped."""
+    return CrossingRouting(r.u[shift:] + r.v[:shift], r.v[shift:] + r.u[:shift])
+
+
+def _unrotate_pattern(r: CrossingRouting, rotated: Pattern, shift: int) -> Pattern:
+    """Carry a pattern on the rotated routing back to the input indexing,
+    flipping the choice bits of wrapped demands and re-centering the start
+    so the anchor sum x + y is preserved."""
+    kept = r.m - shift
+    choices = (rotated.choices & ((1 << kept) - 1)) << shift
+    choices |= ~rotated.choices >> kept & ((1 << shift) - 1)
+    denom, us, vs = r.scaled
+    step_sum = mask_walk(us, vs, choices)[-1]
+    start = rotated.start + Fraction(rotated.walk[-1] - step_sum, 2 * denom)
+    pattern = Pattern(r, choices, start)
+    assert additive_performance(pattern) == additive_performance(rotated)
+    return pattern
+
+
+def _swap_directions(r: CrossingRouting) -> CrossingRouting:
+    return CrossingRouting(r.v, r.u)
+
+
+def _reflect_pattern(target: CrossingRouting, p: Pattern) -> Pattern:
+    """Mirror a pattern across D/2 onto the direction-swapped routing."""
+    assert target.u == p.routing.v and target.v == p.routing.u
+    full = (1 << p.routing.m) - 1
+    return Pattern(target, p.choices ^ full, p.routing.max_demand - p.start)
+
+
+def _last_demand(r: CrossingRouting) -> Fraction:
+    return r.u[-1] + r.v[-1]
+
+
+def _rational_extended_backward(rr: CrossingRouting) -> tuple[Pattern, bool]:
+    """The backward greedy pattern ending at (D + d_m)/2 if it starts at
+    or below D/2, else the one ending at (D - d_m)/2, plus which case
+    applied."""
+    big = rr.max_demand
+    d_last = _last_demand(rr)
+    last = 1 << (rr.m - 1)
+    high = backward_greedy(rr, (big + d_last) / 2)
+    assert high.choices & last
+    if high.start <= big / 2:
+        return high, True
+    low = backward_greedy(rr, (big - d_last) / 2)
+    assert not low.choices & last
+    assert low.start == high.start and low.choices == high.choices ^ last
+    return low, False
+
+
+def rational_round_medium(r: CrossingRouting) -> BoundedRounding:
+    """Reference for ``round_medium``: the same construction on rotated
+    ``CrossingRouting``s and ``Pattern``s, with rational anchors."""
+    cls = r.classify_delta()
+    shift = cls.index % r.m
+    rr = _rotate_routing(r, shift)
+    chosen, _ = _rational_extended_backward(rr)
+    pattern = _unrotate_pattern(r, chosen, shift)
+    return BoundedRounding(pattern, Fraction(3, 2) - cls.value / 2, RoundingMethod.MEDIUM)
+
+
+def rational_round_upper(r: CrossingRouting) -> BoundedRounding:
+    """Reference for ``round_upper`` (spread class at most 2/5): rotate,
+    mirror onto the direction-swapped routing when the extremal walk
+    starts above D/2, test the start window or combine induced patterns,
+    then mirror and rotate back, all on rational anchors."""
+    cls = r.classify_delta()
+    delta = cls.value
+    assert delta <= Fraction(2, 5)
+    shift = cls.index % r.m
+    rr = _rotate_routing(r, shift)
+    chosen, used_high = _rational_extended_backward(rr)
+    if used_high:
+        work, base = rr, chosen
+    else:
+        work = _swap_directions(rr)
+        base = _reflect_pattern(work, chosen)
+    big = work.max_demand
+    d_last = _last_demand(work)
+    assert base.end == (big + d_last) / 2 and base.start <= big / 2
+    certified = Fraction(7, 6) + delta / 3
+    if abs(base.start - (big - d_last) / 2) <= big / 6 + delta * big / 3:
+        pattern, method = base, RoundingMethod.UPPER
+    else:
+        inner = round_via_induced(work, base, delta)
+        assert inner.certified_bound <= certified
+        pattern, method = inner.pattern, inner.method
+    if not used_high:
+        pattern = _reflect_pattern(rr, pattern)
+    return BoundedRounding(_unrotate_pattern(r, pattern, shift), certified, method)
 
 
 def fraction_ascend(task) -> tuple[Fraction, int, tuple[int, ...]]:

@@ -77,6 +77,38 @@ def test_round_branch_methods(tmp_path, capsys, name, method, construction):
     assert f"realized load increase: {fmt(expected.realized)}\n" in out
 
 
+# the first pinned golden routing of test_rounding, which round_main
+# rounds through the crossover branch (induced patterns, splice)
+CROSSOVER_TEXT = (
+    "split 6\npair 19/8 3\npair 22/7 8\npair 29/2 22\npair 15/7 35/4\npair 3 4/5\npair 1/2 3/4\n"
+)
+
+
+@pytest.mark.parametrize(
+    "source, method, digest",
+    [
+        # skutella8 at eps 0 sits on delta = 2/5; round_upper mirrors it
+        ("skutella8", "main", "9ac60bfffd1016752c21ca558f1c50519b1bd7bfb343b0b89952c62f66607afe"),
+        ("skutella8", "medium", "9ac60bfffd1016752c21ca558f1c50519b1bd7bfb343b0b89952c62f66607afe"),
+        ("skutella8", "upper", "00dee8e09d22062b3459dd6d8803b837d518217ff6f4ca43baa8ab64007e7f7d"),
+        ("skutella8", "ssw", "5c0c38eb4fcfd74b91e8a8f94f35b69e3bdcb57661c666d2430cf780963a5530"),
+        ("crossover", "main", "343997533f20381e3506440b8648b14b3c3f7c2c513e7c5abd4815bac84b5771"),
+        ("crossover", "medium", "8d5cd28b49cff5f3ae90b07aa6217c7deebefa23a18f39a4e2377a22ec24e491"),
+        ("crossover", "upper", "343997533f20381e3506440b8648b14b3c3f7c2c513e7c5abd4815bac84b5771"),
+        ("crossover", "ssw", "e301366483b440d7c57a708faa341cb682fa9ee4c43f56648785f70e9047c993"),
+    ],
+)
+def test_round_text_is_pinned(tmp_path, capsys, source, method, digest):
+    path = tmp_path / "inst.txt"
+    if source == "crossover":
+        path.write_text(CROSSOVER_TEXT)
+    else:
+        run(capsys, "gen", source, "--eps", "0", "--out", str(path))
+    code, out, err = run(capsys, "round", str(path), "--method", method)
+    assert code == 0 and err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_round_reduces_ring_input(tmp_path, capsys):
     path = tmp_path / "ring.txt"
     path.write_text(
@@ -333,7 +365,7 @@ def test_usage_errors_exit_2(capsys):
         # split-load gaps up to 27 > D = 11: boost caps fillers repeatedly
         "split 3\npair 10 1\npair 10 1\npair 10 1\n",
         # round_main takes the crossover branch (induced patterns, splice)
-        "split 6\npair 19/8 3\npair 22/7 8\npair 29/2 22\npair 15/7 35/4\npair 3 4/5\npair 1/2 3/4\n",
+        CROSSOVER_TEXT,
     ],
     ids=["split", "ring", "uncrossing", "capping", "crossover"],
 )

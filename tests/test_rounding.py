@@ -36,7 +36,14 @@ from ringload import (
     tight3,
     tight6,
 )
-from support import crossing_routings, random_crossing, routed_patterns
+from ringload.core import mask_walk
+from support import (
+    crossing_routings,
+    random_crossing,
+    rational_round_medium,
+    rational_round_upper,
+    routed_patterns,
+)
 
 
 @st.composite
@@ -277,16 +284,41 @@ GOLDEN_PINNED = (
 GOLDEN_DIGEST = "b163f26120b031773c2f3294cdc19d7b6ddb043523eae4d6f36afce977fc953c"
 
 
-def test_round_main_golden_digest():
+def _golden_corpus():
     rng = Random("round_main golden")
-    corpus = GOLDEN_PINNED + tuple(random_crossing(rng) for _ in range(500))
+    return GOLDEN_PINNED + tuple(random_crossing(rng) for _ in range(500))
+
+
+def test_round_main_golden_digest():
     lines = []
-    for r in corpus:
+    for r in _golden_corpus():
         out = round_main(r)
         p = out.pattern
         lines.append(f"{p.choices}|{p.start}|{out.realized}|{out.certified_bound}|{out.method.value}")
     assert [line.rsplit("|", 1)[1] for line in lines[:2]] == ["crossover", "crossover"]
     assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == GOLDEN_DIGEST
+
+
+def _decision(out):
+    return out.pattern.choices, out.pattern.start, out.certified_bound, out.method
+
+
+def _assert_matches_rational_reference(r):
+    assert _decision(round_medium(r)) == _decision(rational_round_medium(r))
+    if r.classify_delta().value <= Fraction(2, 5):
+        assert _decision(round_upper(r)) == _decision(rational_round_upper(r))
+
+
+@given(crossing_routings(max_m=10))
+def test_branches_match_the_rational_reference(r):
+    # the integer-grid branches against the rotated-routing construction
+    # with rational anchors
+    _assert_matches_rational_reference(r)
+
+
+def test_branches_match_the_rational_reference_on_the_golden_corpus():
+    for r in _golden_corpus():
+        _assert_matches_rational_reference(r)
 
 
 class _DriftingD(Fraction):
@@ -326,29 +358,47 @@ def _induced_identity(monkeypatch, drift_at):
     induced_patterns(r, pa)
 
 
-def _extended_backward_tweaked(monkeypatch, tweak, low=True):
+def _extended_backward_tweaked(monkeypatch, tweak):
     # D = 4 = d_m: the high walk ends at 4 and starts at 3 > D/2, so the
-    # low walk (ending at 0) is built and checked too; `tweak` alters
-    # the low walk, or the high one
-    real = ringload.rounding.backward_greedy
+    # low walk (ending at 0) is built and checked too; `tweak` alters the
+    # kernel's (choices, start) for the walk it is given, high or low
+    real = ringload.rounding.steer_backward
 
-    def fake(rr, y):
-        p = real(rr, y)
-        return tweak(p) if (y == 0) == low else p
+    def fake(us, vs, k, top, end):
+        return tweak(*real(us, vs, k, top, end), low=end == 0)
 
-    monkeypatch.setattr(ringload.rounding, "backward_greedy", fake)
-    ringload.rounding._extended_backward(CrossingRouting((1, 1, 1), (2, 1, 3)))
+    monkeypatch.setattr(ringload.rounding, "steer_backward", fake)
+    ringload.rounding._extended_backward((1, 1, 1), (2, 1, 3), 4)
 
 
-def _round_upper_base(monkeypatch, start_above_half):
-    def fake(rr):
-        big, d_last = rr.max_demand, rr.u[-1] + rr.v[-1]
-        # all steps down: the walk ends sum(u) below its start
-        start = (big + d_last) / 2 + sum(rr.u) if start_above_half else Fraction(0)
-        return Pattern(rr, 0, start), True
+def _extremal_walk_replaced(monkeypatch, run, replace):
+    # `replace(us, vs, result)` stands in for the extremal walk's result
+    real = ringload.rounding._extended_backward
+    monkeypatch.setattr(
+        ringload.rounding, "_extended_backward",
+        lambda us, vs, big: replace(us, vs, real(us, vs, big)),
+    )
+    run()
 
-    monkeypatch.setattr(ringload.rounding, "_extended_backward", fake)
-    round_upper(tight3())
+
+def _all_down(us, vs, start_above_half):
+    # all steps down: the walk ends sum(us) below its start; the start
+    # either leaves the end at (D + d_m)/2 or sits at 0, on the grid
+    grid = ringload.rounding.GRID
+    walk = mask_walk(us, vs, 0)
+    big = max(a + b for a, b in zip(us, vs))
+    start = grid // 2 * (big + us[-1] + vs[-1]) - grid * walk[-1] if start_above_half else 0
+    return 0, start, walk, True
+
+
+def _high_reported_low(us, vs, result):
+    # skutella8's extremal walk is the low one; hand back the high walk
+    # (same start, last step up) as if it were low, so the mirror lands
+    # the base end on (D - d_m)/2
+    choices, start, _, used_high = result
+    high = choices | 1 << (len(us) - 1)
+    assert not used_high
+    return high, start, mask_walk(us, vs, high), False
 
 
 def _delta_class_spread(monkeypatch):
@@ -402,56 +452,81 @@ def _round_main_dispatch_bound(monkeypatch):
     round_main(tight3())
 
 
-def _unrotate_performance(monkeypatch):
-    # the carried-back pattern loses its choices (performance 33, not 11)
-    monkeypatch.setattr(
-        ringload.rounding, "Pattern", lambda r, choices, start: Pattern(r, 0, start)
-    )
-    round_medium(skutella8(0))
+def _round_upper_off_grid(monkeypatch):
+    # the first pinned golden routing takes the induced branch; its inner
+    # pattern now starts 1/1000 off the 1/(12 denom) grid
+    real = ringload.rounding.round_via_induced
+
+    def fake(*args, **kwargs):
+        inner = real(*args, **kwargs)
+        p = inner.pattern
+        moved = Pattern(p.routing, p.choices, p.start + Fraction(1, 1000))
+        return BoundedRounding(moved, inner.certified_bound, inner.method)
+
+    monkeypatch.setattr(ringload.rounding, "round_via_induced", fake)
+    round_upper(GOLDEN_PINNED[0])
 
 
-def _reflect_directions(monkeypatch):
-    # skutella8 takes the mirrored branch; the mirror target now keeps
-    # the directions instead of swapping them
-    monkeypatch.setattr(ringload.rounding, "_swap_directions", lambda rr: rr)
-    round_upper(skutella8(0))
-
-
+# case -> (the refusal it must raise, the breaking run)
 GUARANTEE_CASES = {
-    "forward_strip": lambda mp: _greedy_leaves_strip(mp, forward_greedy),
-    "backward_strip": lambda mp: _greedy_leaves_strip(mp, backward_greedy),
-    "backward_end": _greedy_misses_end,
-    "induced_first_identity": lambda mp: _induced_identity(mp, 1),
-    "induced_second_identity": lambda mp: _induced_identity(mp, 4),
-    "high_forced_up": lambda mp: _extended_backward_tweaked(
-        mp, lambda p: Pattern(p.routing, 0, p.start), low=False
-    ),
-    "low_forced_down": lambda mp: _extended_backward_tweaked(
-        mp, lambda p: Pattern(p.routing, p.choices | 0b100, p.start)
-    ),
-    "shared_start": lambda mp: _extended_backward_tweaked(
-        mp, lambda p: Pattern(p.routing, p.choices, p.start + 1)
-    ),
-    "shared_prefix": lambda mp: _extended_backward_tweaked(
-        mp, lambda p: Pattern(p.routing, p.choices ^ 1, p.start)
-    ),
-    "upper_base_end": lambda mp: _round_upper_base(mp, False),
-    "upper_base_start": lambda mp: _round_upper_base(mp, True),
-    "delta_class_spread": _delta_class_spread,
-    "crossover_anchor_sum": lambda mp: _crossover_tweaked(
+    "forward_strip": ("forward greedy from", lambda mp: _greedy_leaves_strip(mp, forward_greedy)),
+    "backward_strip": ("backward greedy to", lambda mp: _greedy_leaves_strip(mp, backward_greedy)),
+    "backward_end": ("backward greedy pattern ends", _greedy_misses_end),
+    "induced_first_identity": ("D - yc", lambda mp: _induced_identity(mp, 1)),
+    "induced_second_identity": ("D - xb", lambda mp: _induced_identity(mp, 4)),
+    "high_forced_up": ("high anchor must force", lambda mp: _extended_backward_tweaked(
+        mp, lambda choices, start, low: (choices if low else 0, start)
+    )),
+    "low_forced_down": ("low anchor must force", lambda mp: _extended_backward_tweaked(
+        mp, lambda choices, start, low: (choices | 0b100 if low else choices, start)
+    )),
+    "shared_start": ("start apart", lambda mp: _extended_backward_tweaked(
+        mp, lambda choices, start, low: (choices, start + 1 if low else start)
+    )),
+    "shared_prefix": ("differ before the last step", lambda mp: _extended_backward_tweaked(
+        mp, lambda choices, start, low: (choices ^ 1 if low else choices, start)
+    )),
+    # both walks move together, so only the strip and the re-walked end see
+    # it; 48 is D = 4 on the 1/12 grid
+    "extended_strip": (r"outside \[0, D\]", lambda mp: _extended_backward_tweaked(
+        mp, lambda choices, start, low: (choices, start + 48)
+    )),
+    "extended_end": ("off its anchor", lambda mp: _extended_backward_tweaked(
+        mp, lambda choices, start, low: (choices, start + 1)
+    )),
+    "upper_base_end": ("base pattern ends at", lambda mp: _extremal_walk_replaced(
+        mp, lambda: round_upper(tight3()), lambda us, vs, _: _all_down(us, vs, False)
+    )),
+    "upper_base_start": ("above D/2", lambda mp: _extremal_walk_replaced(
+        mp, lambda: round_upper(tight3()), lambda us, vs, _: _all_down(us, vs, True)
+    )),
+    "delta_class_spread": ("inside the spread band", _delta_class_spread),
+    "crossover_anchor_sum": ("anchor sum", lambda mp: _crossover_tweaked(
         mp, lambda r, choices, start: Pattern(r, choices, start + 1)
-    ),
-    "crossover_strip": lambda mp: _crossover_tweaked(mp, _WideStrip),
-    "upper_inner_bound": _round_upper_inner_bound,
-    "main_dispatch_bound": _round_main_dispatch_bound,
-    "unrotate_performance": _unrotate_performance,
-    "reflect_directions": _reflect_directions,
+    )),
+    "crossover_strip": ("union strip", lambda mp: _crossover_tweaked(mp, _WideStrip)),
+    "upper_inner_bound": ("induced rounding certifies", _round_upper_inner_bound),
+    "upper_off_grid": (r"off the 1/\d+ grid", _round_upper_off_grid),
+    "main_dispatch_bound": ("above 13/10", _round_main_dispatch_bound),
+    # the rotated result's walk is swapped for the all-down one, whose
+    # performance the carried-back pattern does not share
+    "unrotate_performance": ("changed its performance", lambda mp: _extremal_walk_replaced(
+        mp, lambda: round_medium(skutella8(0)),
+        lambda us, vs, result: (*result[:2], mask_walk(us, vs, 0), result[3]),
+    )),
+    # skutella8 takes the mirrored branch; mirroring the wrong walk must
+    # not give a base pattern ending at (D + d_m)/2
+    "reflect_directions": ("base pattern ends at", lambda mp: _extremal_walk_replaced(
+        mp, lambda: round_upper(skutella8(0)), _high_reported_low
+    )),
 }
 
 
 @pytest.mark.parametrize("case", sorted(GUARANTEE_CASES))
 def test_greedy_guarantees_are_checked_not_asserted(case, monkeypatch):
     # each case breaks one construction step from outside; the library
-    # must refuse with GuaranteeViolated, which `python -O` keeps
-    with pytest.raises(GuaranteeViolated):
-        GUARANTEE_CASES[case](monkeypatch)
+    # must refuse with GuaranteeViolated from that step's own check,
+    # which `python -O` keeps
+    match, run = GUARANTEE_CASES[case]
+    with pytest.raises(GuaranteeViolated, match=match):
+        run(monkeypatch)
