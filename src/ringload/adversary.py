@@ -233,25 +233,27 @@ def _render_terms(terms) -> str:
     return " ".join(parts)
 
 
-def _row_lines(model: MilpModel) -> list[str]:
-    """The objective and constraint lines of the model's LP text."""
-    lines = ["Maximize", f" obj: {_render_terms(model.objective)}", "Subject To"]
-    for con in model.constraints:
+@lru_cache(maxsize=1)
+def _row_lines(m: int, reduce_vars: bool, symmetry_break: bool) -> tuple[str, ...]:
+    """The objective and constraint lines of the LP text of the size-m
+    model with the given switches; only the last setting built is kept."""
+    lines = ["Maximize", f" obj: {_render_terms(MilpModel.objective)}", "Subject To"]
+    for con in _rows(m, reduce_vars, symmetry_break):
         lines.append(f" {con.name}: {_render_terms(con.terms)} {con.sense} {con.rhs}")
-    return lines
+    return tuple(lines)
 
 
-def _declaration_lines(m: int, reduce_vars: bool) -> list[str]:
+def _declaration_lines(m: int, reduce_vars: bool) -> tuple[str, ...]:
     """The Bounds, Binaries and End lines of every size-m model's LP text."""
     variables = _declarations(m, reduce_vars)
-    return ["Bounds", *(f" {v.name} free" for v in variables if v.kind == FREE),
-            "Binaries", *(f" {v.name}" for v in variables if v.kind == BINARY), "End"]
+    return ("Bounds", *(f" {v.name} free" for v in variables if v.kind == FREE),
+            "Binaries", *(f" {v.name}" for v in variables if v.kind == BINARY), "End")
 
 
 def render_lp(model: MilpModel) -> str:
     """Deterministic LP-format text for the model (ASCII, LF endings)."""
-    lines = _row_lines(model) + _declaration_lines(model.m, model.reduce_vars)
-    return "\n".join(lines) + "\n"
+    rows = _row_lines(model.m, model.reduce_vars, model.symmetry_break)
+    return "\n".join(rows + _declaration_lines(model.m, model.reduce_vars)) + "\n"
 
 
 def export_lp(model: MilpModel, path) -> str:
@@ -262,13 +264,15 @@ def export_lp(model: MilpModel, path) -> str:
     return str(path)
 
 
-def _expect_lines(found: list[list[str]], lines: list[str], m: int) -> None:
-    """Refuse unless ``found`` holds the tokens of ``lines``, line by line."""
+def _expect_lines(found: list[list[str]], lines: tuple[str, ...], m: int) -> None:
+    """Refuse unless ``found`` holds the tokens of ``lines``, line by line;
+    a rendered line separates its tokens by single spaces."""
     if len(found) != len(lines):
         raise ParseError(f"{len(found)} lines where the size-{m} model renders {len(lines)}")
     for tokens, line in zip(found, lines):
-        if tokens != line.split():
-            raise ParseError(f"{' '.join(tokens)!r} is not the size-{m} model's {line.strip()!r}")
+        joined = " ".join(tokens)
+        if joined != line.strip():
+            raise ParseError(f"{joined!r} is not the size-{m} model's {line.strip()!r}")
 
 
 def parse_lp(text: str) -> MilpModel:
@@ -295,7 +299,7 @@ def parse_lp(text: str) -> MilpModel:
     # the rows of a large model
     head = found.index(["Bounds"])
     _expect_lines(found[head:], _declaration_lines(m, model.reduce_vars), m)
-    _expect_lines(found[:head], _row_lines(model), m)
+    _expect_lines(found[:head], _row_lines(m, model.reduce_vars, symmetry_break), m)
     return model
 
 
@@ -374,8 +378,11 @@ def _ascend(task) -> tuple[Fraction, int, tuple[int, ...]]:
     Performance over D does not depend on units, so the grid entries are
     the walk steps and the current value is kept as the integers p / q.
     A candidate with largest demand Dc improves exactly when its minimum
-    performance exceeds T = p * Dc // q; a threshold search that stops at
-    the first mask performing at most T rejects most candidates early.
+    performance exceeds T = p * Dc // q.  It is first walked on the masks
+    that rejected recent candidates (at most two, newest first, starting
+    from the current optimum mask): a walk performing at most T rejects it
+    with that mask as certificate.  Otherwise a threshold search that stops
+    at the first mask performing at most T decides.
     """
     m, den, seed, index, fixed_start = task
     if fixed_start is not None:
@@ -387,8 +394,9 @@ def _ascend(task) -> tuple[Fraction, int, tuple[int, ...]]:
             grid.append(rng.randint(1, den - 1))
         for i in range(m):
             grid.append(rng.randint(1, den - grid[i]))
-    p, _ = _lowest_performance(grid[:m], grid[m:])
+    p, mask = _lowest_performance(grid[:m], grid[m:])
     q = max(a + b for a, b in zip(grid[:m], grid[m:]))
+    masks = [mask]
     improved = True
     while improved:
         improved = False
@@ -406,10 +414,14 @@ def _ascend(task) -> tuple[Fraction, int, tuple[int, ...]]:
                 down, up = grid[:m], grid[m:]
                 big = max(a + b for a, b in zip(down, up))
                 limit = p * big // q + 1
+                if any(walk_performance(mask_walk(down, up, z)) < limit for z in masks):
+                    grid[c], grid[partner] = old_c, old_p
+                    continue
                 hit = _lowest_performance(down, up, limit, first=True)
                 if hit is None:
-                    p, _ = _lowest_performance(down, up)
+                    p, mask = _lowest_performance(down, up)
                     q = big
+                    masks = [mask]
                     improved = True
                     break
                 perf, mask = hit
@@ -419,6 +431,7 @@ def _ascend(task) -> tuple[Fraction, int, tuple[int, ...]]:
                         f"threshold search reported mask {mask:#x} at {perf} below {limit}, "
                         f"but its walk performs {walked}"
                     )
+                masks = [mask, masks[0]]
                 grid[c], grid[partner] = old_c, old_p
             if improved:
                 break

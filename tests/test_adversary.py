@@ -162,6 +162,7 @@ def test_parse_lp_refuses_before_building_rows(monkeypatch):
         raise AssertionError("parse_lp built the rows of a model")
 
     monkeypatch.setattr(adversary, "_rows", no_rows)
+    monkeypatch.setattr(adversary, "_row_lines", no_rows)
     stub = "".join(f" feas_{i}: u_{i} + v_{i} <= 1\n" for i in range(1, 13))
     for text in (
         "Maximize\n obj: E\nSubject To\n" + stub + "End\n",
@@ -172,14 +173,33 @@ def test_parse_lp_refuses_before_building_rows(monkeypatch):
 
 
 def test_model_caches_keep_only_the_last_setting():
-    # rows and declarations of every size built would otherwise stay
-    # resident for the life of the process
+    # rows, lines and declarations of every size built would otherwise
+    # stay resident for the life of the process
     first, last = build_milp(3), build_milp(4, reduce_vars=False)
-    assert first.constraints and first.variables
-    assert last.constraints and last.variables
+    assert first.constraints and first.variables and render_lp(first)
+    assert last.constraints and last.variables and render_lp(last)
     assert adversary._rows.cache_info().currsize == 1
+    assert adversary._row_lines.cache_info().currsize == 1
     assert adversary._declarations.cache_info().currsize == 1
     assert build_milp(4, reduce_vars=False).constraints is last.constraints
+
+
+def test_lp_lines_follow_the_setting_in_use():
+    # each render and parse switches the one cached setting; a text is
+    # never compared with the lines of the setting cached before it
+    m3 = build_milp(3)
+    m3_text = render_lp(m3)
+    assert parse_lp(M2_TEXT) == build_milp(2)
+    unreduced = build_milp(2, reduce_vars=False)
+    unreduced_text = render_lp(unreduced)
+    rows = sum(":" in line for line in unreduced_text.splitlines())
+    assert rows == 1 + len(unreduced.constraints)
+    with pytest.raises(ParseError, match="feas_1: u_1 \\+ v_1 <= 1"):
+        parse_lp(M2_TEXT.replace("feas_1: u_1 + v_1 <= 1", "feas_1: u_1 + v_1 <= 2"))
+    assert parse_lp(M2_TEXT) == build_milp(2)
+    assert parse_lp(unreduced_text) == unreduced
+    assert parse_lp(m3_text) == m3
+    assert render_lp(build_milp(2)) == M2_TEXT
 
 
 def normalized(r):
@@ -275,9 +295,44 @@ def test_integer_ascent_matches_fraction_ascent():
     start = (4, 4, 6, 2, 7, 1, 7, 2, 6, 4, 4, 2, 3, 7, 3, 2)  # skutella8(0) on tenths
     task = (8, 10, "warm", 0, start)
     assert adversary._ascend(task) == fraction_ascend(task)
+    task = (8, 10, "ties", 0, (5,) * 16)  # tight_even(8) on tenths: tie-heavy, all steps equal
+    assert adversary._ascend(task) == fraction_ascend(task)
     seeded = heuristic_search(8, 2, "warm", denominator=10, start=skutella8(0), workers=1)
     assert seeded == heuristic_search(8, 2, "warm", denominator=10, start=skutella8(0), workers=2)
     assert tuple(seeded) == reference_search(8, 2, "warm", 10, start)
+
+
+def test_remembered_masks_spare_threshold_searches(monkeypatch):
+    # a candidate that a remembered mask's walk rejects never reaches the
+    # threshold search; the rejections and the result stay the same
+    calls = []
+
+    def counted(down, up, limit=None, first=False):
+        calls.append(first)
+        return _lowest_performance(down, up, limit, first)
+
+    monkeypatch.setattr(adversary, "_lowest_performance", counted)
+    result = heuristic_search(8, 20, "shortcut", denominator=20)
+    assert 0 < sum(calls) <= 25 * 20
+    assert tuple(result) == reference_search(8, 20, "shortcut", 20)
+
+
+def test_threshold_hits_are_rewalked(monkeypatch):
+    # a threshold search whose reported mask does not perform below the
+    # limit is caught, on a restart where some candidate gets past the
+    # remembered masks
+    lies = []
+
+    def lying(down, up, limit=None, first=False):
+        if not first:
+            return _lowest_performance(down, up, limit)
+        lies.append(limit)
+        return 0, 0  # mask 0 walks at least one positive step
+
+    monkeypatch.setattr(adversary, "_lowest_performance", lying)
+    with pytest.raises(GuaranteeViolated, match="threshold search reported mask 0x0"):
+        adversary._ascend((8, 20, "shortcut", 0, None))
+    assert lies
 
 
 @pytest.mark.parametrize("m", [9, 10, 11, 12])

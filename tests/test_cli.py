@@ -213,6 +213,22 @@ def test_search_is_deterministic(tmp_path, capsys):
     assert a.read_bytes() == b.read_bytes()
 
 
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (["search", "6", "--seed", "ci", "--budget", "4"],
+         "0b9c6b5ddf82c77b12062c542dd23ef5f91f47b5ce87816a7e6a0b56a83d7ab7"),
+        (["search", "8", "--seed", "ci", "--budget", "4", "--denominator", "10"],
+         "54cc24ee20a5bcaa45fa329062e6c7f3a2a21085ce6a4b7d659168582d25e452"),
+    ],
+    ids=["m6", "m8-tenths"],
+)
+def test_search_text_is_pinned(capsys, argv, digest):
+    code, out, err = run(capsys, *argv)
+    assert code == 0 and err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_comments_and_blanks_are_ignored():
     data = parse_input_text("# header\n\nsplit 2 # demand count\npair 1 2\n\npair 3 4 # tail\n")
     assert data.routing.u == (1, 3) and data.routing.v == (2, 4)
