@@ -31,7 +31,6 @@ from .core import (
     Pattern,
     additive_performance,
     mask_walk,
-    to_rational,
     walk_performance,
 )
 from .errors import GuaranteeViolated, ParameterOutOfRange
@@ -118,11 +117,13 @@ def crossover(p1: Pattern, p2: Pattern) -> Pattern:
     return spliced
 
 
-def induced_patterns(r: CrossingRouting, pa: Pattern) -> tuple[Pattern, Pattern]:
-    """The two companion greedy patterns of a base pattern: a forward one
-    whose start mirrors two thirds of pa's end, and a backward one whose
-    end mirrors two thirds of pa's start.  Their anchors satisfy the
-    midpoint identities checked below, which drive the crossover bound."""
+def induced_patterns(pa: Pattern) -> tuple[Pattern, Pattern]:
+    """The two companion greedy patterns of a base pattern on its routing:
+    a forward one whose start mirrors two thirds of pa's end, and a
+    backward one whose end mirrors two thirds of pa's start.  Their
+    anchors satisfy the midpoint identities checked below, which drive
+    the crossover bound."""
+    r = pa.routing
     big = r.max_demand
     xa, ya = pa.start, pa.end
     xb = 2 * (big - ya) / 3 + xa / 3
@@ -136,14 +137,11 @@ def induced_patterns(r: CrossingRouting, pa: Pattern) -> tuple[Pattern, Pattern]
     return pb, pc
 
 
-def round_via_induced(
-    r: CrossingRouting,
-    pa: Pattern,
-    delta,
-) -> BoundedRounding:
+def round_via_induced(pa: Pattern) -> BoundedRounding:
     """Combine a backward-proper base pattern with its two induced greedy
     patterns into one whose performance is at most
-    D + |D - (xa+ya)|/3 + delta*D/2.
+    D + |D - (xa+ya)|/3 + delta*D/2, with delta the spread class of the
+    pattern's routing.
 
     Either one of the induced patterns already starts (ends) close enough
     to its mirrored end (start) to qualify alone, or two of the three
@@ -152,14 +150,14 @@ def round_via_induced(
     to [0, D] whose endpoint order is not a cyclic shift of their start
     order force a crossing somewhere.
     """
-    delta = to_rational(delta)
-    big = r.max_demand
+    delta = pa.routing.classify_delta().value
+    big = pa.routing.max_demand
     lo, hi = pa.strip
     if lo < 0 or hi > big:
         raise GuaranteeViolated(f"base pattern strip [{lo}, {hi}] leaves [0, {big}]")
     if not is_proper(pa, BACKWARD, delta):
         raise GuaranteeViolated("base pattern anchor is not proper")
-    pb, pc = induced_patterns(r, pa)
+    pb, pc = induced_patterns(pa)
     if not is_proper(pb, FORWARD, delta):
         raise GuaranteeViolated("induced forward pattern start is not proper")
     if not is_proper(pc, BACKWARD, delta):
@@ -305,7 +303,7 @@ def round_upper(r: CrossingRouting) -> BoundedRounding:
         u, v = r.u[shift:] + r.v[:shift], r.v[shift:] + r.u[:shift]
         work = CrossingRouting(u, v) if used_high else CrossingRouting(v, u)
         base = Pattern(work._adopt_scaled((denom, us, vs)), choices, Fraction(start, unit))
-        inner = round_via_induced(work, base._adopt_walk(walk), delta)
+        inner = round_via_induced(base._adopt_walk(walk))
         if inner.certified_bound > certified:
             raise GuaranteeViolated(
                 f"induced rounding certifies {inner.certified_bound}, above {certified}"

@@ -532,7 +532,7 @@ def rational_round_upper(r: CrossingRouting) -> BoundedRounding:
     if abs(base.start - (big - d_last) / 2) <= big / 6 + delta * big / 3:
         pattern, method = base, RoundingMethod.UPPER
     else:
-        inner = round_via_induced(work, base, delta)
+        inner = round_via_induced(base)
         assert inner.certified_bound <= certified
         pattern, method = inner.pattern, inner.method
     if not used_high:

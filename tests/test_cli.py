@@ -2,6 +2,7 @@
 
 import hashlib
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -82,6 +83,20 @@ def test_round_branch_methods(tmp_path, capsys, name, method, construction):
 CROSSOVER_TEXT = (
     "split 6\npair 19/8 3\npair 22/7 8\npair 29/2 22\npair 15/7 35/4\npair 3 4/5\npair 1/2 3/4\n"
 )
+# ring files for the reduction path: "three" takes 3 exchanges, keeps 6 of
+# its 9 nodes and reduces to m = 3; "nest" takes 4 exchanges, nested both
+# ways round, and reduces to m = 2
+PINNED_TEXTS = {
+    "crossover": CROSSOVER_TEXT,
+    "three": (
+        "ring 9\ndemand 1 6 3 1\ndemand 1 8 4 1\ndemand 2 4 5 4\n"
+        "demand 2 6 3 1\ndemand 3 7 3 1\ndemand 4 8 6 4\n"
+    ),
+    "nest": (
+        "ring 10\ndemand 1 5 5 3\ndemand 2 6 4 1\ndemand 3 7 5 1\n"
+        "demand 1 10 4 2\ndemand 1 2 2 1\ndemand 1 8 5 2\n"
+    ),
+}
 
 
 @pytest.mark.parametrize(
@@ -96,12 +111,16 @@ CROSSOVER_TEXT = (
         ("crossover", "medium", "8d5cd28b49cff5f3ae90b07aa6217c7deebefa23a18f39a4e2377a22ec24e491"),
         ("crossover", "upper", "343997533f20381e3506440b8648b14b3c3f7c2c513e7c5abd4815bac84b5771"),
         ("crossover", "ssw", "e301366483b440d7c57a708faa341cb682fa9ee4c43f56648785f70e9047c993"),
+        ("three", "main", "453e658acd987184200e17b2dc466c6d8fa5de5000919b775c5372daf2c31626"),
+        ("three", "brute", "fee8a88e0cbd5f9ad4f16f89ceaab629840bd709889649d3c6bbf1d040d179b2"),
+        ("nest", "main", "7ad70fa0c00bfc62c305b3aebc065e2bc6232fcaca7ff1c93aed7742126988b5"),
+        ("nest", "brute", "96a4c7252ce1f00f676383a57870f14a3448174378a312f37d1fe0410c794c11"),
     ],
 )
 def test_round_text_is_pinned(tmp_path, capsys, source, method, digest):
     path = tmp_path / "inst.txt"
-    if source == "crossover":
-        path.write_text(CROSSOVER_TEXT)
+    if source in PINNED_TEXTS:
+        path.write_text(PINNED_TEXTS[source])
     else:
         run(capsys, "gen", source, "--eps", "0", "--out", str(path))
     code, out, err = run(capsys, "round", str(path), "--method", method)
@@ -348,17 +367,29 @@ def test_failed_assert_exits_3(tmp_path, capsys, monkeypatch):
     assert "broken certified invariant" in err
 
 
-def test_uncrossing_bug_exits_3(tmp_path, capsys, monkeypatch):
-    # two parallel split demands sharing node 1 that skip uncrossing: the
-    # reduction meets a state no input can cause, a broken guarantee
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        # sharing node 1: the endpoints are not distinct
+        ("ring 6\ndemand 1 3 2 1\ndemand 1 5 2 1\n", "node 1 touches two split demands after uncrossing"),
+        # nested spans: (1,4) relabels to (1,4), (2,3) to (2,3)
+        ("ring 6\ndemand 1 4 2 1\ndemand 2 3 2 1\n", r"demand \(1,4\) relabels to \(1,4\), not antipodal"),
+        # disjoint spans: (1,2) relabels to (1,2), (3,4) to (3,4)
+        ("ring 6\ndemand 1 2 2 1\ndemand 3 4 2 1\n", r"demand \(1,2\) relabels to \(1,2\), not antipodal"),
+    ],
+    ids=["shared", "nested", "disjoint"],
+)
+def test_uncrossing_bug_exits_3(tmp_path, capsys, monkeypatch, text, message):
+    # two parallel split demands that skip uncrossing: the reduction meets
+    # a state no input can cause, a broken guarantee
     path = tmp_path / "r.txt"
-    path.write_text("ring 6\ndemand 1 3 2 1\ndemand 1 5 2 1\n")
+    path.write_text(text)
     monkeypatch.setattr("ringload.reduce.uncross_parallel", lambda s: (s, ()))
-    with pytest.raises(GuaranteeViolated, match="touches two split demands after uncrossing"):
+    with pytest.raises(GuaranteeViolated, match=message):
         ringload.to_crossing_form(load_input(str(path)).general)
     code, _, err = run(capsys, "round", str(path))
     assert code == 3
-    assert "guarantee violated: node 1 touches two split demands" in err
+    assert re.search(f"guarantee violated: {message}", err)
 
 
 def test_usage_errors_exit_2(capsys):

@@ -224,20 +224,21 @@ def test_induced_anchor_identities(pa):
     r = pa.routing
     big = r.max_demand
     assume(0 <= pa.start <= big and 0 <= pa.end <= big)
-    pb, pc = induced_patterns(r, pa)
+    pb, pc = induced_patterns(pa)
     assert big - pc.end == (pa.start + pb.start) / 2
     assert big - pb.start == (pa.end + pc.end) / 2
 
 
 def test_round_via_induced_guards():
-    r = tight3()
-    outside = Pattern(r, 0b111, Fraction(9))  # strip leaves [0, D]
-    with pytest.raises(GuaranteeViolated):
-        round_via_induced(r, outside, Fraction(0))
-    # anchored on the boundary: not proper for a positive spread class
+    outside = Pattern(tight3(), 0b111, Fraction(9))  # strip leaves [0, D]
+    with pytest.raises(GuaranteeViolated, match="leaves"):
+        round_via_induced(outside)
+    # anchored on the boundary: not proper for skutella8's class 2/5
+    r = skutella8()
+    assert r.classify_delta().value == Fraction(2, 5)
     edge = backward_greedy(r, Fraction(0))
-    with pytest.raises(GuaranteeViolated):
-        round_via_induced(r, edge, Fraction(2, 5))
+    with pytest.raises(GuaranteeViolated, match="not proper"):
+        round_via_induced(edge)
 
 
 def test_round_via_induced_direct_window():
@@ -246,7 +247,8 @@ def test_round_via_induced_direct_window():
     r = tight3()
     pa = backward_greedy(r, Fraction(2))
     assert pa.prefix_values == (2, 0, 1, 2)
-    out = round_via_induced(r, pa, Fraction(0))
+    assert r.classify_delta().value == 0
+    out = round_via_induced(pa)
     assert out.method is RoundingMethod.UPPER
     assert out.certified_bound == 1
     assert out.realized == 4
@@ -355,7 +357,7 @@ def _induced_identity(monkeypatch, drift_at):
     r = tight3()
     pa = backward_greedy(r, Fraction(2))
     monkeypatch.setitem(r.__dict__, "max_demand", _DriftingD(r.max_demand, drift_at))
-    induced_patterns(r, pa)
+    induced_patterns(pa)
 
 
 def _extended_backward_tweaked(monkeypatch, tweak):
