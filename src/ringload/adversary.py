@@ -30,7 +30,7 @@ from functools import lru_cache
 from random import Random
 from typing import ClassVar, NamedTuple
 
-from .core import CrossingRouting, mask_walk, to_rational, walk_performance
+from .core import CrossingRouting, mask_performance, mask_walk, to_rational, walk_performance
 from .errors import GuaranteeViolated, ParameterOutOfRange, ParseError
 from .exact import _lowest_performance, min_additive_performance
 
@@ -353,7 +353,9 @@ def max_feasible_performance(model: MilpModel, r: CrossingRouting) -> Fraction:
     values["E"] = best
 
     for con in model.constraints:
-        lhs = sum(coeff * values[name] for coeff, name in con.terms)
+        lhs = 0
+        for coeff, name in con.terms:
+            lhs += coeff * values[name]
         if not _SENSES[con.sense](lhs, con.rhs * scale):
             raise ParameterOutOfRange(
                 f"routing is inadmissible for this model: {con.name} has "
@@ -414,7 +416,7 @@ def _ascend(task) -> tuple[Fraction, int, tuple[int, ...]]:
                 down, up = grid[:m], grid[m:]
                 big = max(a + b for a, b in zip(down, up))
                 limit = p * big // q + 1
-                if any(walk_performance(mask_walk(down, up, z)) < limit for z in masks):
+                if any(mask_performance(down, up, z) < limit for z in masks):
                     grid[c], grid[partner] = old_c, old_p
                     continue
                 hit = _lowest_performance(down, up, limit, first=True)
@@ -425,7 +427,7 @@ def _ascend(task) -> tuple[Fraction, int, tuple[int, ...]]:
                     improved = True
                     break
                 perf, mask = hit
-                walked = walk_performance(mask_walk(down, up, mask))
+                walked = mask_performance(down, up, mask)
                 if walked != perf or walked >= limit:
                     raise GuaranteeViolated(
                         f"threshold search reported mask {mask:#x} at {perf} below {limit}, "

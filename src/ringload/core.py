@@ -201,6 +201,25 @@ def walk_performance(walk) -> int:
     return max(2 * max(walk) - end, end - 2 * min(walk))
 
 
+def mask_performance(steps_down, steps_up, mask: int) -> int:
+    """``walk_performance(mask_walk(steps_down, steps_up, mask))`` from the
+    walk's running end, minimum and maximum, without building the walk;
+    steps are non-negative, so an up step can only raise the maximum and
+    a down step only lower the minimum."""
+    end = lo = hi = 0
+    for down, up in zip(steps_down, steps_up):
+        if mask & 1:
+            end += up
+            if end > hi:
+                hi = end
+        else:
+            end -= down
+            if end < lo:
+                lo = end
+        mask >>= 1
+    return max(2 * hi - end, end - 2 * lo)
+
+
 @dataclass(frozen=True)
 class Pattern:
     """An unsplittable rerouting of a crossing routing plus an anchor.

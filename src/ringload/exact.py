@@ -55,10 +55,17 @@ def _lowest_performance(
         # at a leaf (k = 0) the bound below is exactly that
         nonlocal best, found
         k -= 1
+        down_open, up_open = down_sum[k], up_sum[k]
         for q, choice in ((p + steps_down[k], mask), (p - steps_up[k], mask | 1 << k)):
             q_lo = q if q < lo else lo
             q_hi = q if q > hi else hi
-            bound = max(q_hi - q_lo, 2 * q_hi - q - down_sum[k], q - up_sum[k] - 2 * q_lo)
+            bound = q_hi - q_lo
+            t = 2 * q_hi - q - down_open
+            if t > bound:
+                bound = t
+            t = q - up_open - 2 * q_lo
+            if t > bound:
+                bound = t
             if bound < best:
                 if k:
                     descend(k, q, q_lo, q_hi, choice)

@@ -225,7 +225,7 @@ def test_evaluator_symmetry_rows():
     model = build_milp(2)
     assert max_feasible_performance(model, tight_even(2)) == 1
     # ...but an arbitrary one need not: u_1 > v_2 here
-    with pytest.raises(ParameterOutOfRange):
+    with pytest.raises(ParameterOutOfRange, match="inadmissible for this model: sym_v_2 has lhs 1/4"):
         max_feasible_performance(build_milp(3), tight3())
     with pytest.raises(ParameterOutOfRange):
         max_feasible_performance(model, tight3())  # size mismatch

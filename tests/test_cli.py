@@ -239,8 +239,10 @@ def test_search_is_deterministic(tmp_path, capsys):
          "0b9c6b5ddf82c77b12062c542dd23ef5f91f47b5ce87816a7e6a0b56a83d7ab7"),
         (["search", "8", "--seed", "ci", "--budget", "4", "--denominator", "10"],
          "54cc24ee20a5bcaa45fa329062e6c7f3a2a21085ce6a4b7d659168582d25e452"),
+        (["search", "10", "--seed", "ci", "--budget", "2", "--denominator", "12"],
+         "9321bb3d8c4211cc84e622484e824b2df24893d240d49945a257df0f23dbb3d1"),
     ],
-    ids=["m6", "m8-tenths"],
+    ids=["m6", "m8-tenths", "m10-twelfths"],
 )
 def test_search_text_is_pinned(capsys, argv, digest):
     code, out, err = run(capsys, *argv)

@@ -19,6 +19,7 @@ from ringload import (
     to_rational,
     unsplittable_loads,
 )
+from ringload.core import mask_performance, mask_walk, walk_performance
 from support import (
     crossing_routings,
     naive_performance,
@@ -195,6 +196,21 @@ def test_cached_walk_matches_rational_recomputation(r, data):
         assert p.prefix_values == expected
         assert p.end == expected[-1]
         assert p.strip == (min(expected), max(expected))
+
+
+@st.composite
+def walk_masks(draw):
+    m = draw(st.integers(1, 12))
+    steps = st.lists(st.integers(1, 60), min_size=m, max_size=m)
+    mask = draw(st.sampled_from([0, (1 << m) - 1]) | st.integers(0, (1 << m) - 1))
+    return draw(steps), draw(steps), mask
+
+
+@given(walk_masks())
+def test_mask_performance_matches_walk(case):
+    steps_down, steps_up, mask = case
+    walk = mask_walk(steps_down, steps_up, mask)
+    assert mask_performance(steps_down, steps_up, mask) == walk_performance(walk)
 
 
 @given(routed_patterns(), off_grid_starts)

@@ -58,6 +58,39 @@ def test_min_performance_matches_naive(r):
     assert naive_performance(r, naive_mask) == naive_value
 
 
+def naive_walk_performances(steps_down, steps_up) -> list[int]:
+    """Performance of every mask in mask order, as the worst edge change:
+    edge k moves by 2 w[k] - w[m] and edge k + m by its negation."""
+    perfs = []
+    for mask in range(1 << len(steps_down)):
+        walk = [0]
+        for k, (down, up) in enumerate(zip(steps_down, steps_up)):
+            walk.append(walk[-1] + (up if mask >> k & 1 else -down))
+        perfs.append(max(abs(2 * w - walk[-1]) for w in walk[1:]))
+    return perfs
+
+
+@st.composite
+def integer_walks(draw):
+    m = draw(st.integers(1, 10))
+    steps = st.lists(st.integers(1, 40), min_size=m, max_size=m)
+    return draw(steps), draw(steps)
+
+
+@given(integer_walks())
+def test_lowest_performance_matches_naive_on_random_walks(steps):
+    steps_down, steps_up = steps
+    perfs = naive_walk_performances(steps_down, steps_up)
+    low = min(perfs)
+    # the value at its lowest optimal mask
+    assert exact._lowest_performance(steps_down, steps_up) == (low, perfs.index(low))
+    # with `first`, the lowest mask performing below the limit, or None
+    for limit in (low - 1, low, low + 1):
+        below = next((z for z, perf in enumerate(perfs) if perf < limit), None)
+        expected = None if below is None else (perfs[below], below)
+        assert exact._lowest_performance(steps_down, steps_up, limit, first=True) == expected
+
+
 # tie-heavy routings (many optimal masks, so witness rules show) and the
 # pinned probes
 BEYOND_M7 = (

@@ -114,6 +114,18 @@ def test_dispatch_guards():
         assert construction(r).certified_bound == Fraction(13, 10)
 
 
+def test_thirteen_tenths_is_attained():
+    # on the delta = 2/5 boundary every construction pays exactly 13/10 D,
+    # while the optimum is 19
+    r = CrossingRouting((12, 3, 19, 12, 18, 3), (8, 6, 11, 16, 12, 15))
+    assert r.max_demand == 30
+    assert r.classify_delta() == DeltaClass(Fraction(2, 5), 6)
+    assert round_main(r).method is RoundingMethod.MEDIUM
+    for construction in (round_main, round_medium, round_upper, ssw_round):
+        assert construction(r).realized == 39 == Fraction(13, 10) * r.max_demand
+    assert min_additive_performance(r).value == 19
+
+
 @pytest.mark.parametrize("make", [skutella8, seven18, tight3, tight6])
 def test_round_main_classifies_once(make, monkeypatch):
     built = []
