@@ -279,15 +279,7 @@ class Pattern:
     def performance(self) -> Fraction:
         """Largest edge-load increase caused by the pattern, the closed
         form of ``walk_performance``; it does not depend on the anchor."""
-        walk = self.walk
-        perf = walk_performance(walk)
-        if __debug__:
-            # closed form must agree with the brute per-edge maximum: edge
-            # k (1..m) changes by 2 w[k] - w[m], edge k + m by the negation
-            y = walk[-1]
-            first = [2 * w - y for w in walk[1:]]
-            assert perf == max(first + [-t for t in first])
-        return Fraction(perf, self.routing.scaled[0])
+        return Fraction(walk_performance(self.walk), self.routing.scaled[0])
 
 
 @dataclass(frozen=True)

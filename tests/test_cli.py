@@ -83,11 +83,17 @@ def test_round_branch_methods(tmp_path, capsys, name, method, construction):
 CROSSOVER_TEXT = (
     "split 6\npair 19/8 3\npair 22/7 8\npair 29/2 22\npair 15/7 35/4\npair 3 4/5\npair 1/2 3/4\n"
 )
+# the second pinned golden routing (m = 8), also a crossover for round_main
+CROSSOVER8_TEXT = (
+    "split 8\npair 15/11 4\npair 5/8 8/7\npair 32/3 12\npair 11/9 13/9\n"
+    "pair 13 5/2\npair 29/10 7/6\npair 35/4 20/3\npair 11/3 7/2\n"
+)
 # ring files for the reduction path: "three" takes 3 exchanges, keeps 6 of
 # its 9 nodes and reduces to m = 3; "nest" takes 4 exchanges, nested both
 # ways round, and reduces to m = 2
 PINNED_TEXTS = {
     "crossover": CROSSOVER_TEXT,
+    "crossover8": CROSSOVER8_TEXT,
     "three": (
         "ring 9\ndemand 1 6 3 1\ndemand 1 8 4 1\ndemand 2 4 5 4\n"
         "demand 2 6 3 1\ndemand 3 7 3 1\ndemand 4 8 6 4\n"
@@ -111,6 +117,9 @@ PINNED_TEXTS = {
         ("crossover", "medium", "8d5cd28b49cff5f3ae90b07aa6217c7deebefa23a18f39a4e2377a22ec24e491"),
         ("crossover", "upper", "343997533f20381e3506440b8648b14b3c3f7c2c513e7c5abd4815bac84b5771"),
         ("crossover", "ssw", "e301366483b440d7c57a708faa341cb682fa9ee4c43f56648785f70e9047c993"),
+        ("crossover8", "main", "037315aec52d367210f03b7e330721911d50dbe13663e20a0b8f42f3fe9a6651"),
+        ("crossover8", "medium", "53b81b6eeb5fb3cc18d934a74d78b5c29b16f51bba42ca67966d36f485b76188"),
+        ("crossover8", "upper", "037315aec52d367210f03b7e330721911d50dbe13663e20a0b8f42f3fe9a6651"),
         ("three", "main", "453e658acd987184200e17b2dc466c6d8fa5de5000919b775c5372daf2c31626"),
         ("three", "brute", "fee8a88e0cbd5f9ad4f16f89ceaab629840bd709889649d3c6bbf1d040d179b2"),
         ("nest", "main", "7ad70fa0c00bfc62c305b3aebc065e2bc6232fcaca7ff1c93aed7742126988b5"),

@@ -1,11 +1,14 @@
 """Core types and load arithmetic against independent per-edge oracles."""
 
+import ast
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import ringload
 from ringload import (
     CrossingRouting,
     LoadProfile,
@@ -256,3 +259,13 @@ def test_to_ring_instance():
     assert inst.demands == ((1, 3, Fraction(4)), (2, 4, Fraction(6)))
     with pytest.raises(MalformedRouting):
         CrossingRouting((1,), (1,)).to_ring_instance()
+
+
+def test_library_has_no_asserts():
+    # every certified invariant is a check that `python -O` keeps
+    found = []
+    for path in sorted(Path(ringload.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Assert) or isinstance(node, ast.Name) and node.id == "__debug__":
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []

@@ -9,7 +9,6 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import ringload.core
-import ringload.greedy
 import ringload.rounding
 from ringload import (
     BoundedRounding,
@@ -23,7 +22,6 @@ from ringload import (
     backward_greedy,
     closeness,
     crossover,
-    forward_greedy,
     induced_patterns,
     min_additive_performance,
     round_main,
@@ -36,7 +34,7 @@ from ringload import (
     tight3,
     tight6,
 )
-from ringload.core import mask_walk
+from ringload.greedy import steer_backward
 from support import (
     crossing_routings,
     random_crossing,
@@ -335,84 +333,20 @@ def test_branches_match_the_rational_reference_on_the_golden_corpus():
         _assert_matches_rational_reference(r)
 
 
-class _DriftingD(Fraction):
-    """A largest demand D whose ``drift_at``-th subtraction comes out
-    1/1000 too large: the one way into an identity check that exact
-    arithmetic always passes."""
-
-    def __new__(cls, value, drift_at):
-        self = super().__new__(cls, value)
-        self.drift_at = drift_at
-        self.calls = 0
-        return self
-
-    def __sub__(self, other):
-        self.calls += 1
-        exact = Fraction(self) - other
-        return exact + Fraction(1, 1000) if self.calls == self.drift_at else exact
-
-
-def _greedy_leaves_strip(monkeypatch, build):
-    r = CrossingRouting((3,), (3,))  # D = 6; both steps from 2 leave [0, 4]
-    monkeypatch.setitem(r.__dict__, "max_demand", Fraction(4))
-    build(r, Fraction(2))
-
-
-def _greedy_misses_end(monkeypatch):
-    monkeypatch.setattr(
-        ringload.greedy, "Pattern", lambda r, choices, start: Pattern(r, choices ^ 1, start)
-    )
-    backward_greedy(tight3(), Fraction(2))
-
-
-def _induced_identity(monkeypatch, drift_at):
-    r = tight3()
-    pa = backward_greedy(r, Fraction(2))
-    monkeypatch.setitem(r.__dict__, "max_demand", _DriftingD(r.max_demand, drift_at))
-    induced_patterns(pa)
-
-
-def _extended_backward_tweaked(monkeypatch, tweak):
-    # D = 4 = d_m: the high walk ends at 4 and starts at 3 > D/2, so the
-    # low walk (ending at 0) is built and checked too; `tweak` alters the
-    # kernel's (choices, start) for the walk it is given, high or low
-    real = ringload.rounding.steer_backward
-
-    def fake(us, vs, k, top, end):
-        return tweak(*real(us, vs, k, top, end), low=end == 0)
-
-    monkeypatch.setattr(ringload.rounding, "steer_backward", fake)
-    ringload.rounding._extended_backward((1, 1, 1), (2, 1, 3), 4)
-
-
-def _extremal_walk_replaced(monkeypatch, run, replace):
-    # `replace(us, vs, result)` stands in for the extremal walk's result
-    real = ringload.rounding._extended_backward
-    monkeypatch.setattr(
-        ringload.rounding, "_extended_backward",
-        lambda us, vs, big: replace(us, vs, real(us, vs, big)),
-    )
-    run()
-
-
-def _all_down(us, vs, start_above_half):
-    # all steps down: the walk ends sum(us) below its start; the start
-    # either leaves the end at (D + d_m)/2 or sits at 0, on the grid
+@given(st.lists(st.tuples(st.integers(1, 36), st.integers(1, 36)), min_size=1, max_size=10))
+def test_extremal_walks_split_only_at_the_last_step(parts):
+    # up from (D + d_m)/2 and down from (D - d_m)/2 both leave
+    # (D + u_m - v_m)/2, so the two backward walks share everything else
+    us, vs = zip(*parts)
+    big = max(u + v for u, v in parts)
     grid = ringload.rounding.GRID
-    walk = mask_walk(us, vs, 0)
-    big = max(a + b for a, b in zip(us, vs))
-    start = grid // 2 * (big + us[-1] + vs[-1]) - grid * walk[-1] if start_above_half else 0
-    return 0, start, walk, True
-
-
-def _high_reported_low(us, vs, result):
-    # skutella8's extremal walk is the low one; hand back the high walk
-    # (same start, last step up) as if it were low, so the mirror lands
-    # the base end on (D - d_m)/2
-    choices, start, _, used_high = result
-    high = choices | 1 << (len(us) - 1)
-    assert not used_high
-    return high, start, mask_walk(us, vs, high), False
+    top, last = grid * big, 1 << (len(parts) - 1)
+    d_last = us[-1] + vs[-1]
+    high, high_start = steer_backward(us, vs, grid, top, grid // 2 * (big + d_last))
+    low, low_start = steer_backward(us, vs, grid, top, grid // 2 * (big - d_last))
+    assert high_start == low_start and 0 <= high_start <= top
+    assert high & last and not low & last
+    assert high ^ low == last
 
 
 def _delta_class_spread(monkeypatch):
@@ -427,36 +361,6 @@ def _delta_class_spread(monkeypatch):
 
     monkeypatch.setattr(ringload.core, "min", wrong_min, raising=False)
     r.classify_delta()
-
-
-def _crossover_tweaked(monkeypatch, make):
-    # `make` builds the spliced pattern in place of `Pattern`
-    monkeypatch.setattr(ringload.rounding, "Pattern", make)
-    r = tight3()
-    crossover(Pattern(r, 0b011, Fraction(0)), Pattern(r, 0b110, Fraction(1)))
-
-
-class _WideStrip(Pattern):
-    """A pattern whose reported strip reaches far below its walk."""
-
-    @property
-    def strip(self):
-        lo, hi = super().strip
-        return lo - 1000, hi
-
-
-def _round_upper_inner_bound(monkeypatch):
-    # the first pinned golden routing takes the induced branch; its inner
-    # rounding now claims a weaker certificate than round_upper's
-    real = ringload.rounding.round_via_induced
-
-    def fake(*args, **kwargs):
-        inner = real(*args, **kwargs)
-        weaker = inner.certified_bound + 1
-        return BoundedRounding(inner.pattern, weaker, inner.method)
-
-    monkeypatch.setattr(ringload.rounding, "round_via_induced", fake)
-    round_upper(GOLDEN_PINNED[0])
 
 
 def _round_main_dispatch_bound(monkeypatch):
@@ -483,56 +387,9 @@ def _round_upper_off_grid(monkeypatch):
 
 # case -> (the refusal it must raise, the breaking run)
 GUARANTEE_CASES = {
-    "forward_strip": ("forward greedy from", lambda mp: _greedy_leaves_strip(mp, forward_greedy)),
-    "backward_strip": ("backward greedy to", lambda mp: _greedy_leaves_strip(mp, backward_greedy)),
-    "backward_end": ("backward greedy pattern ends", _greedy_misses_end),
-    "induced_first_identity": ("D - yc", lambda mp: _induced_identity(mp, 1)),
-    "induced_second_identity": ("D - xb", lambda mp: _induced_identity(mp, 4)),
-    "high_forced_up": ("high anchor must force", lambda mp: _extended_backward_tweaked(
-        mp, lambda choices, start, low: (choices if low else 0, start)
-    )),
-    "low_forced_down": ("low anchor must force", lambda mp: _extended_backward_tweaked(
-        mp, lambda choices, start, low: (choices | 0b100 if low else choices, start)
-    )),
-    "shared_start": ("start apart", lambda mp: _extended_backward_tweaked(
-        mp, lambda choices, start, low: (choices, start + 1 if low else start)
-    )),
-    "shared_prefix": ("differ before the last step", lambda mp: _extended_backward_tweaked(
-        mp, lambda choices, start, low: (choices ^ 1 if low else choices, start)
-    )),
-    # both walks move together, so only the strip and the re-walked end see
-    # it; 48 is D = 4 on the 1/12 grid
-    "extended_strip": (r"outside \[0, D\]", lambda mp: _extended_backward_tweaked(
-        mp, lambda choices, start, low: (choices, start + 48)
-    )),
-    "extended_end": ("off its anchor", lambda mp: _extended_backward_tweaked(
-        mp, lambda choices, start, low: (choices, start + 1)
-    )),
-    "upper_base_end": ("base pattern ends at", lambda mp: _extremal_walk_replaced(
-        mp, lambda: round_upper(tight3()), lambda us, vs, _: _all_down(us, vs, False)
-    )),
-    "upper_base_start": ("above D/2", lambda mp: _extremal_walk_replaced(
-        mp, lambda: round_upper(tight3()), lambda us, vs, _: _all_down(us, vs, True)
-    )),
     "delta_class_spread": ("inside the spread band", _delta_class_spread),
-    "crossover_anchor_sum": ("anchor sum", lambda mp: _crossover_tweaked(
-        mp, lambda r, choices, start: Pattern(r, choices, start + 1)
-    )),
-    "crossover_strip": ("union strip", lambda mp: _crossover_tweaked(mp, _WideStrip)),
-    "upper_inner_bound": ("induced rounding certifies", _round_upper_inner_bound),
     "upper_off_grid": (r"off the 1/\d+ grid", _round_upper_off_grid),
     "main_dispatch_bound": ("above 13/10", _round_main_dispatch_bound),
-    # the rotated result's walk is swapped for the all-down one, whose
-    # performance the carried-back pattern does not share
-    "unrotate_performance": ("changed its performance", lambda mp: _extremal_walk_replaced(
-        mp, lambda: round_medium(skutella8(0)),
-        lambda us, vs, result: (*result[:2], mask_walk(us, vs, 0), result[3]),
-    )),
-    # skutella8 takes the mirrored branch; mirroring the wrong walk must
-    # not give a base pattern ending at (D + d_m)/2
-    "reflect_directions": ("base pattern ends at", lambda mp: _extremal_walk_replaced(
-        mp, lambda: round_upper(skutella8(0)), _high_reported_low
-    )),
 }
 
 
