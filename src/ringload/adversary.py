@@ -234,26 +234,29 @@ def _render_terms(terms) -> str:
 
 
 @lru_cache(maxsize=1)
-def _row_lines(m: int, reduce_vars: bool, symmetry_break: bool) -> tuple[str, ...]:
-    """The objective and constraint lines of the LP text of the size-m
-    model with the given switches; only the last setting built is kept."""
+def _row_lines(m: int, reduce_vars: bool, symmetry_break: bool) -> str:
+    """The newline-ended objective and constraint lines of the size-m
+    model's LP text with the given switches; only the last setting is kept."""
     lines = ["Maximize", f" obj: {_render_terms(MilpModel.objective)}", "Subject To"]
     for con in _rows(m, reduce_vars, symmetry_break):
         lines.append(f" {con.name}: {_render_terms(con.terms)} {con.sense} {con.rhs}")
-    return tuple(lines)
+    return "\n".join(lines) + "\n"
 
 
-def _declaration_lines(m: int, reduce_vars: bool) -> tuple[str, ...]:
-    """The Bounds, Binaries and End lines of every size-m model's LP text."""
+@lru_cache(maxsize=1)
+def _declaration_lines(m: int, reduce_vars: bool) -> str:
+    """The Bounds, Binaries and End lines of every size-m model's LP text,
+    each ended by a newline; only the last ``(m, reduce_vars)`` is kept."""
     variables = _declarations(m, reduce_vars)
-    return ("Bounds", *(f" {v.name} free" for v in variables if v.kind == FREE),
-            "Binaries", *(f" {v.name}" for v in variables if v.kind == BINARY), "End")
+    lines = ("Bounds", *(f" {v.name} free" for v in variables if v.kind == FREE),
+             "Binaries", *(f" {v.name}" for v in variables if v.kind == BINARY), "End")
+    return "\n".join(lines) + "\n"
 
 
 def render_lp(model: MilpModel) -> str:
     """Deterministic LP-format text for the model (ASCII, LF endings)."""
     rows = _row_lines(model.m, model.reduce_vars, model.symmetry_break)
-    return "\n".join(rows + _declaration_lines(model.m, model.reduce_vars)) + "\n"
+    return rows + _declaration_lines(model.m, model.reduce_vars)
 
 
 def export_lp(model: MilpModel, path) -> str:
@@ -264,9 +267,10 @@ def export_lp(model: MilpModel, path) -> str:
     return str(path)
 
 
-def _expect_lines(found: list[list[str]], lines: tuple[str, ...], m: int) -> None:
-    """Refuse unless ``found`` holds the tokens of ``lines``, line by line;
-    a rendered line separates its tokens by single spaces."""
+def _expect_lines(found: list[list[str]], rendered: str, m: int) -> None:
+    """Refuse unless ``found`` holds the tokens of the ``rendered`` lines,
+    line by line; a rendered line separates its tokens by single spaces."""
+    lines = rendered.splitlines()
     if len(found) != len(lines):
         raise ParseError(f"{len(found)} lines where the size-{m} model renders {len(lines)}")
     for tokens, line in zip(found, lines):
@@ -282,8 +286,20 @@ def parse_lp(text: str) -> MilpModel:
     ``sym_`` rows and its number of binaries); the text is accepted only
     if its lines equal that model's rendered lines token by token, with
     blank lines, comment lines (``\\`` or ``*``) and the width of
-    whitespace runs ignored.  Any other text raises ParseError.
+    whitespace runs ignored.  Any other text raises ParseError.  An exact
+    rendering is accepted with one comparison.
     """
+    m = text.count("\n feas_")
+    # the lines between Binaries and End: the newlines from Binaries on, less 3
+    binaries = text.count("\n", text.rfind("\nBinaries\n")) - 3
+    if 2 <= m <= 12 and binaries in ((m + 5) << (m - 1), (2 * m + 3) << m):
+        # the model this may render; a wrong guess goes on to the token comparison
+        reduce_vars = binaries < (2 * m + 3) << m
+        symmetry_break = "\n sym_" in text
+        tail = _declaration_lines(m, reduce_vars)
+        # declarations first, as below
+        if text.endswith(tail) and text == _row_lines(m, reduce_vars, symmetry_break) + tail:
+            return MilpModel(m, reduce_vars, symmetry_break)
     lines = [line.split() for line in text.splitlines()]
     found = [tokens for tokens in lines if tokens and not tokens[0].startswith(("\\", "*"))]
     m = sum(1 for tokens in found if tokens[0].startswith("feas_"))
@@ -306,6 +322,23 @@ def parse_lp(text: str) -> MilpModel:
 _SENSES = {"<=": operator.le, ">=": operator.ge, "=": operator.eq}
 
 
+@lru_cache(maxsize=1)
+def _layout(m: int, reduce_vars: bool, symmetry_break: bool):
+    """Declaration positions for ``max_feasible_performance``: per mask its
+    label, ``a_`` and ``(index, position)`` of each kept selector; per row
+    its ``(coeff, position)`` terms and sense.  Only the last setting is kept."""
+    pos = {v.name: k for k, v in enumerate(_declarations(m, reduce_vars))}
+    blocks = []
+    for z in range(1 << m):
+        h = _mask_label(z, m)
+        keep_min, keep_max = kept_selectors(m, z, reduce_vars)
+        blocks.append((h, pos[f"a_{h}"], tuple((i, pos[f"wmin_{h}_{i}"]) for i in keep_min),
+                       tuple((i, pos[f"wmax_{h}_{i}"]) for i in keep_max)))
+    rows = tuple((con, tuple((coeff, pos[name]) for coeff, name in con.terms), _SENSES[con.sense])
+                 for con in _rows(m, reduce_vars, symmetry_break))
+    return tuple(blocks), rows
+
+
 def max_feasible_performance(model: MilpModel, r: CrossingRouting) -> Fraction:
     """Largest objective value feasible in the model once u, v are fixed
     to the D-normalized routing, found by direct arithmetic.
@@ -321,42 +354,35 @@ def max_feasible_performance(model: MilpModel, r: CrossingRouting) -> Fraction:
     # U[i] / scale, walks come in the same units, and a binary 1 is `scale`
     _, us, vs = r.scaled
     scale = max(a + b for a, b in zip(us, vs))
-    # unchosen selectors stay 0
-    values = dict.fromkeys((v.name for v in model.variables), 0)
-    for i in range(1, model.m + 1):
-        values[f"u_{i}"] = us[i - 1]
-        values[f"v_{i}"] = vs[i - 1]
+    blocks, rows = _layout(model.m, model.reduce_vars, model.symmetry_break)
+    # declared first: u_1..u_m, v_1..v_m, E; unchosen selectors stay 0
+    values = [*us, *vs] + [0] * (len(model.variables) - 2 * model.m)
 
     perfs = []
-    for z in range(1 << model.m):
-        h = _mask_label(z, model.m)
+    for z, (h, at, keep_min, keep_max) in enumerate(blocks):
         prefix = mask_walk(us, vs, z)
         lo, hi = min(prefix), max(prefix)
         end = prefix[-1]
         perf = walk_performance(prefix)
-        values[f"a_{h}"] = lo
-        values[f"b_{h}"] = hi
-        values[f"y_{h}"] = end
-        values[f"c_{h}"] = perf
-        values[f"w_{h}"] = 0 if perf == 2 * hi - end else scale
-        keep_min, keep_max = kept_selectors(model.m, z, model.reduce_vars)
-        min_at = [i for i in keep_min if prefix[i] == lo]
-        max_at = [i for i in keep_max if prefix[i] == hi]
+        # a_, b_, y_, c_, w_ are declared in a row
+        values[at:at + 5] = lo, hi, end, perf, 0 if perf == 2 * hi - end else scale
+        min_at = [k for i, k in keep_min if prefix[i] == lo]
+        max_at = [k for i, k in keep_max if prefix[i] == hi]
         if not min_at:
             raise GuaranteeViolated(f"reduction lost every argmin selector of mask {h}")
         if not max_at:
             raise GuaranteeViolated(f"reduction lost every argmax selector of mask {h}")
-        values[f"wmin_{h}_{min_at[0]}"] = scale
-        values[f"wmax_{h}_{max_at[0]}"] = scale
+        values[min_at[0]] = scale
+        values[max_at[0]] = scale
         perfs.append(perf)
     best = min(perfs)
-    values["E"] = best
+    values[2 * model.m] = best
 
-    for con in model.constraints:
+    for con, terms, holds in rows:
         lhs = 0
-        for coeff, name in con.terms:
-            lhs += coeff * values[name]
-        if not _SENSES[con.sense](lhs, con.rhs * scale):
+        for coeff, k in terms:
+            lhs += coeff * values[k]
+        if not holds(lhs, con.rhs * scale):
             raise ParameterOutOfRange(
                 f"routing is inadmissible for this model: {con.name} has "
                 f"lhs {Fraction(lhs, scale)}, wants {con.sense} {con.rhs}"
@@ -414,7 +440,11 @@ def _ascend(task) -> tuple[Fraction, int, tuple[int, ...]]:
                     # project the partner down instead of rejecting
                     grid[partner] = den - grid[c]
                 down, up = grid[:m], grid[m:]
-                big = max(a + b for a, b in zip(down, up))
+                # a move changes only demand c % m: the largest demand stays q
+                # unless this one outgrows it, or was the largest and shrank
+                big = grid[c] + grid[partner]
+                if big < q:
+                    big = q if old_c + old_p < q else max(a + b for a, b in zip(down, up))
                 limit = p * big // q + 1
                 if any(mask_performance(down, up, z) < limit for z in masks):
                     grid[c], grid[partner] = old_c, old_p

@@ -426,8 +426,7 @@ def main(argv=None) -> int:
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (GuaranteeViolated, AssertionError) as exc:
-        # a failed library assert is a broken certified invariant too
+    except GuaranteeViolated as exc:
         print(f"guarantee violated: {exc or type(exc).__name__}", file=sys.stderr)
         print(
             "this indicates a broken certified invariant; the inputs and the "

@@ -82,7 +82,7 @@ def test_build_and_render_are_deterministic(tmp_path):
     assert out.read_bytes() == text.encode("ascii")
 
 
-@pytest.mark.parametrize("m", [2, 3])
+@pytest.mark.parametrize("m", [2, 3, 6])
 @pytest.mark.parametrize("reduce_vars", [True, False])
 @pytest.mark.parametrize("symmetry_break", [True, False])
 def test_lp_round_trip(m, reduce_vars, symmetry_break):
@@ -91,6 +91,10 @@ def test_lp_round_trip(m, reduce_vars, symmetry_break):
     back = parse_lp(text)
     assert back == model
     assert render_lp(back) == text
+    # not the rendering byte for byte, so past the one-comparison check,
+    # but the same model up to blank lines, comments and line ends
+    for variant in (text + "\n", "\\ a comment\n" + text, text.replace("\n", "\r\n")):
+        assert parse_lp(variant) == model
 
 
 def test_render_lp_pinned():
@@ -172,15 +176,31 @@ def test_parse_lp_refuses_before_building_rows(monkeypatch):
             parse_lp(text)
 
 
+def test_parse_lp_refuses_before_building_declarations(monkeypatch):
+    # nor is any model's rendering built for a text without its binaries
+    def no_declarations(*args):
+        raise AssertionError("parse_lp built the declarations of a model")
+
+    monkeypatch.setattr(adversary, "_declarations", no_declarations)
+    monkeypatch.setattr(adversary, "_declaration_lines", no_declarations)
+    stub = "".join(f" feas_{i}: u_{i} + v_{i} <= 1\n" for i in range(1, 13))
+    with pytest.raises(ParseError, match="no Bounds or Binaries section"):
+        parse_lp("Maximize\n obj: E\nSubject To\n" + stub + "End\n")
+
+
 def test_model_caches_keep_only_the_last_setting():
     # rows, lines and declarations of every size built would otherwise
     # stay resident for the life of the process
     first, last = build_milp(3), build_milp(4, reduce_vars=False)
     assert first.constraints and first.variables and render_lp(first)
+    assert max_feasible_performance(first, CrossingRouting((1,) * 3, (1,) * 3))
     assert last.constraints and last.variables and render_lp(last)
+    assert max_feasible_performance(last, tight_even(4))
     assert adversary._rows.cache_info().currsize == 1
     assert adversary._row_lines.cache_info().currsize == 1
     assert adversary._declarations.cache_info().currsize == 1
+    assert adversary._declaration_lines.cache_info().currsize == 1
+    assert adversary._layout.cache_info().currsize == 1
     assert build_milp(4, reduce_vars=False).constraints is last.constraints
 
 
@@ -194,8 +214,11 @@ def test_lp_lines_follow_the_setting_in_use():
     unreduced_text = render_lp(unreduced)
     rows = sum(":" in line for line in unreduced_text.splitlines())
     assert rows == 1 + len(unreduced.constraints)
-    with pytest.raises(ParseError, match="feas_1: u_1 \\+ v_1 <= 1"):
+    with pytest.raises(ParseError) as edited:
         parse_lp(M2_TEXT.replace("feas_1: u_1 + v_1 <= 1", "feas_1: u_1 + v_1 <= 2"))
+    assert str(edited.value) == (
+        "'feas_1: u_1 + v_1 <= 2' is not the size-2 model's 'feas_1: u_1 + v_1 <= 1'"
+    )
     assert parse_lp(M2_TEXT) == build_milp(2)
     assert parse_lp(unreduced_text) == unreduced
     assert parse_lp(m3_text) == m3
@@ -229,6 +252,17 @@ def test_evaluator_symmetry_rows():
         max_feasible_performance(build_milp(3), tight3())
     with pytest.raises(ParameterOutOfRange):
         max_feasible_performance(model, tight3())  # size mismatch
+
+
+def test_evaluator_at_m6_matches_brute_force():
+    # the search benchmark's size, on both variable sets
+    rng = Random(606)
+    routings = [CrossingRouting(tuple(rng.randint(1, 9) for _ in range(6)),
+                                tuple(rng.randint(1, 9) for _ in range(6))) for _ in range(4)]
+    for reduce_vars in (True, False):
+        model = build_milp(6, reduce_vars=reduce_vars, symmetry_break=False)
+        for r in routings:
+            assert max_feasible_performance(model, r) == naive_min_performance(r)[0] / r.max_demand
 
 
 @settings(max_examples=25)
@@ -302,6 +336,17 @@ def test_integer_ascent_matches_fraction_ascent():
     assert tuple(seeded) == reference_search(8, 2, "warm", 10, start)
 
 
+@pytest.mark.parametrize(
+    "start",
+    [(9, 3, 2, 1, 4, 3),  # demand 1 alone is the largest, at 10, and shrinks on the first move
+     (9, 5, 2, 1, 5, 3)],  # demands 1 and 2 tie at 10, and demand 1 shrinks on the first move
+    ids=["unique", "tied"],
+)
+def test_ascent_tracks_the_largest_demand(start):
+    task = (3, 10, "largest", 0, start)
+    assert adversary._ascend(task) == fraction_ascend(task)
+
+
 def test_remembered_masks_spare_threshold_searches(monkeypatch):
     # a candidate that a remembered mask's walk rejects never reaches the
     # threshold search; the rejections and the result stay the same
@@ -366,14 +411,18 @@ def test_threshold_search_matches_naive(m):
 
 def test_adversary_guarantees_are_checked_not_asserted(monkeypatch):
     # each check raises GuaranteeViolated, so it also holds under `python -O`
+    # the model's declarations and rows come from the true selectors; each
+    # broken one drops a family, as a wrong reduction would
     model = build_milp(3, symmetry_break=False)
-    full = tuple(range(4))
-    for broken in (lambda m, mask, reduce_vars: ((), full),
-                   lambda m, mask, reduce_vars: (full, ())):
+    assert max_feasible_performance(model, tight3())
+    for family, broken in (("argmin", lambda m, mask, rv: ((), kept_selectors(m, mask, rv)[1])),
+                           ("argmax", lambda m, mask, rv: (kept_selectors(m, mask, rv)[0], ()))):
         with monkeypatch.context() as patch:
             patch.setattr(adversary, "kept_selectors", broken)
-            with pytest.raises(GuaranteeViolated, match="selector"):
+            adversary._layout.cache_clear()  # a warm layout would hide the patch
+            with pytest.raises(GuaranteeViolated, match=f"lost every {family} selector"):
                 max_feasible_performance(model, tight3())
+        adversary._layout.cache_clear()  # and the broken layout must not outlive it
     # a restart that truthfully reports a routing worse than the seed:
     # tight_even(8) on tenths performs exactly D
     monkeypatch.setattr(adversary, "_ascend", lambda task: (Fraction(1), task[3], (5,) * 16))
